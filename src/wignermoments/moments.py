@@ -87,6 +87,7 @@ def moment(field: WignerField, m: int, quad: QuadratureSpec | None = None) -> fl
             env,
             quad.order,
             envelope_scale=quad.envelope_scale,
+            separable=field.separable,
         )
     if quad.scheme == "uniform_grid":
         half = quad.half_width or DEFAULT_HALF_WIDTH.get(field.modes)

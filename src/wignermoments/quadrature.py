@@ -8,8 +8,14 @@ the per-axis weights (w_i e^{t_i^2} is O(node spacing), so no overflow), and
 whenever f is polynomial-times-envelope the rule is exact once the per-axis
 order exceeds half the polynomial degree.
 
-Summation is deterministic: fixed chunking over the leading axis, numpy
-pairwise sums inside a chunk, math.fsum across chunk partials.
+When Q has no entry coupling mode 1 (x_1, p_1) to mode 2 (x_2, p_2), the
+4-D rule is exactly the product of two per-mode 2-D rules, and an integrand
+that accepts a ModeGrid is evaluated on per-mode node sets as an (n1, n2)
+block instead of on flattened points.
+
+Summation is deterministic: fixed chunking over the leading axis (mode-1
+rows on the product rule), fixed-order sums inside a chunk, math.fsum
+across chunk partials.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .errors import DegenerateCovarianceError, InvalidArgumentError, SizeLimitEr
 __all__ = [
     "GaussianEnvelope",
     "GridSpec",
+    "ModeGrid",
     "QuadratureSpec",
     "SCHEMES",
     "gauss_hermite_integral",
@@ -39,6 +46,9 @@ SCHEMES = ("gauss_hermite_tensor", "adaptive_radial", "uniform_grid")
 # 16.8M nodes, ~0.5 GB of transient blocks at the default chunking).
 MAX_TENSOR_NODES = 40_000_000
 BLOCK_NODES = 262_144
+
+# Axes of each mode in the (x_1, x_2, p_1, p_2) point layout.
+MODE_AXES = ((0, 2), (1, 3))
 
 
 @dataclass(frozen=True)
@@ -61,6 +71,10 @@ class GaussianEnvelope:
     def scaled(self, factor: float) -> "GaussianEnvelope":
         return GaussianEnvelope(self.form * factor, self.center)
 
+    def separates_modes(self) -> bool:
+        """True for a two-mode form with no entry between (x1, p1) and (x2, p2)."""
+        return self.center.size == 4 and not np.any(self.form[np.ix_(*MODE_AXES)])
+
     def combine(self, other: "GaussianEnvelope") -> "GaussianEnvelope":
         """Envelope of a product of two Gaussian-decaying factors.
 
@@ -70,6 +84,46 @@ class GaussianEnvelope:
         form = self.form + other.form
         rhs = self.form @ self.center + other.form @ other.center
         return GaussianEnvelope(form, np.linalg.solve(form, rhs))
+
+
+@dataclass(frozen=True)
+class ModeGrid:
+    """Every pairing of a mode-1 node set with a mode-2 node set.
+
+    Node a of mode 1 is (x1[a], p1[a]) and node b of mode 2 is (x2[b], p2[b]);
+    the grid holds the phase-space points (x1[a], x2[b], p1[a], p2[b]). A field
+    evaluated on it returns the (len(x1), len(x2)) block of values.
+    """
+
+    x1: np.ndarray
+    p1: np.ndarray
+    x2: np.ndarray
+    p2: np.ndarray
+
+    # c * grid scales the coordinates instead of broadcasting over the object
+    __array_ufunc__ = None
+
+    @property
+    def shape(self) -> tuple:
+        return (self.x1.size, self.x2.size)
+
+    def __len__(self) -> int:
+        return self.x1.size * self.x2.size
+
+    def __mul__(self, c) -> "ModeGrid":
+        return ModeGrid(c * self.x1, c * self.p1, c * self.x2, c * self.p2)
+
+    __rmul__ = __mul__
+
+    def points(self) -> np.ndarray:
+        """The grid as an (n1 * n2, 4) array of points, mode-1 index slowest."""
+        n1, n2 = self.shape
+        z = np.empty((n1, n2, 4))
+        z[:, :, 0] = self.x1[:, None]
+        z[:, :, 1] = self.x2[None, :]
+        z[:, :, 2] = self.p1[:, None]
+        z[:, :, 3] = self.p2[None, :]
+        return z.reshape(n1 * n2, 4)
 
 
 @dataclass(frozen=True)
@@ -127,14 +181,36 @@ def hermgauss_cached(order: int):
     return t, w * np.exp(t * t)
 
 
-def _axis_blocks(nodes_1d, order: int, dims: int):
-    """Yield (t_block, wtilde_block) covering the tensor grid in fixed chunks."""
-    t, wt = nodes_1d
+@lru_cache(maxsize=16)
+def _node_tensor(order: int, dims: int):
+    """Meshed nodes (order**dims, dims) and product weights over dims axes.
+
+    Built once per (order, dims): re-meshing on every call allocated fresh
+    multi-megabyte temporaries, and their page faults cost more than the
+    integrand on the 4-D rules. The arrays are shared, hence read-only.
+    """
+    t, wt = hermgauss_cached(order)
+    grids = np.meshgrid(*([t] * dims), indexing="ij")
+    nodes = np.stack([g.ravel() for g in grids], axis=1) if grids else np.zeros((1, 0))
+    weights = np.ones(nodes.shape[0])
+    for g in np.meshgrid(*([wt] * dims), indexing="ij"):
+        weights = weights * g.ravel()
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _check_size(order: int, dims: int) -> None:
     total = order**dims
     if total > MAX_TENSOR_NODES:
         raise SizeLimitError(
             f"tensor rule with {total} nodes exceeds cap {MAX_TENSOR_NODES}"
         )
+
+
+def _axis_blocks(order: int, dims: int):
+    """Yield (t_block, wtilde_block) covering the tensor grid in fixed chunks."""
+    t, wt = hermgauss_cached(order)
     # Lead axes are looped one index at a time; trailing axes are meshed.
     tail_dims = dims
     tail = 1
@@ -142,13 +218,11 @@ def _axis_blocks(nodes_1d, order: int, dims: int):
         tail *= order
         tail_dims -= 1
     lead_dims = tail_dims
-    grids = np.meshgrid(*([t] * (dims - lead_dims)), indexing="ij")
-    tail_t = np.stack([g.ravel() for g in grids], axis=1) if grids else np.zeros((1, 0))
-    tail_w = np.ones(tail_t.shape[0])
-    for g in np.meshgrid(*([wt] * (dims - lead_dims)), indexing="ij"):
-        tail_w = tail_w * g.ravel()
-    lead_iter = np.ndindex(*([order] * lead_dims)) if lead_dims else iter([()])
-    for lead in lead_iter:
+    tail_t, tail_w = _node_tensor(order, dims - lead_dims)
+    if not lead_dims:
+        yield tail_t, tail_w
+        return
+    for lead in np.ndindex(*([order] * lead_dims)):
         block_t = np.empty((tail_t.shape[0], dims))
         for j, idx in enumerate(lead):
             block_t[:, j] = t[idx]
@@ -159,35 +233,78 @@ def _axis_blocks(nodes_1d, order: int, dims: int):
         yield block_t, block_w
 
 
-def gauss_hermite_integral(
-    f,
-    envelope: GaussianEnvelope,
-    order: int,
-    *,
-    envelope_scale: float = 1.0,
-) -> float:
-    """integral f(z) dz for f decaying like the given Gaussian envelope.
-
-    f maps an (n, dims) array of points to n values. Exact when
-    f(z) e^{(z-c)^T Q (z-c)} is a polynomial of per-axis degree < 2 * order.
-    """
-    form = envelope.form / (envelope_scale * envelope_scale)
-    dims = envelope.center.size
+def _cholesky(form: np.ndarray) -> np.ndarray:
     try:
-        chol = np.linalg.cholesky(form)
+        return np.linalg.cholesky(form)
     except np.linalg.LinAlgError as exc:
         # either genuinely indefinite or so squeezed that double precision
         # cannot factor it; both are covariance-degeneracy conditions
         raise DegenerateCovarianceError(
             f"envelope form is numerically singular or indefinite: {exc}"
         ) from exc
+
+
+def _mode_rule(center: np.ndarray, chol: np.ndarray, order: int, axes):
+    """One mode's order^2-node rule: node coordinates x, p and weights.
+
+    z = center + L^{-T} t is back-substituted by hand for the 2x2 factor:
+    the threaded BLAS triangular solve takes milliseconds for this much work.
+    """
+    t, w = _node_tensor(order, 2)
+    (l00, _), (l10, l11) = chol
+    p = t[:, 1] / l11
+    x = (t[:, 0] - l10 * p) / l00
+    return center[axes[0]] + x, center[axes[1]] + p, w
+
+
+def gauss_hermite_integral(
+    f,
+    envelope: GaussianEnvelope,
+    order: int,
+    *,
+    envelope_scale: float = 1.0,
+    separable: bool = False,
+) -> float:
+    """integral f(z) dz for f decaying like the given Gaussian envelope.
+
+    f maps an (n, dims) array of points to n values. Exact when
+    f(z) e^{(z-c)^T Q (z-c)} is a polynomial of per-axis degree < 2 * order.
+
+    separable declares that f also accepts a ModeGrid and then returns its
+    (n1, n2) block of values. The integral then runs on the product of the
+    two per-mode rules whenever the envelope does not couple the modes; a
+    coupled envelope keeps the flattened points.
+    """
+    form = envelope.form / (envelope_scale * envelope_scale)
+    dims = envelope.center.size
+    if separable and envelope.separates_modes():
+        chols = [_cholesky(form[np.ix_(axes, axes)]) for axes in MODE_AXES]
+        _check_size(order, dims)
+        return _product_integral(f, envelope.center, chols, order)
+    chol = _cholesky(form)
+    _check_size(order, dims)
     jac = 1.0 / float(np.prod(np.diag(chol)))
-    nodes = hermgauss_cached(order)
     partials = []
-    for t_block, w_block in _axis_blocks(nodes, order, dims):
+    for t_block, w_block in _axis_blocks(order, dims):
         # z = center + L^{-T} t
         z = envelope.center + solve_triangular(chol, t_block.T, lower=True, trans="T").T
         partials.append(float(np.sum(w_block * np.asarray(f(z), dtype=float))))
+    return jac * math.fsum(partials)
+
+
+def _product_integral(f, center: np.ndarray, chols, order: int) -> float:
+    """The 4-D rule as the product of per-mode rules, chunked over mode-1 rows."""
+    x1, p1, w1 = _mode_rule(center, chols[0], order, MODE_AXES[0])
+    x2, p2, w2 = _mode_rule(center, chols[1], order, MODE_AXES[1])
+    jac = 1.0 / float(np.prod([np.diag(chol) for chol in chols]))
+    rows = max(1, BLOCK_NODES // x2.size)
+    partials = []
+    for start in range(0, x1.size, rows):
+        sl = slice(start, start + rows)
+        block = np.asarray(f(ModeGrid(x1[sl], p1[sl], x2, p2)), dtype=float)
+        # numpy reductions, not BLAS: a threaded gemv here leaves the BLAS
+        # pool spinning into the single-threaded work that follows
+        partials.append(float(np.sum(w1[sl] * np.sum(block * w2, axis=1))))
     return jac * math.fsum(partials)
 
 

@@ -25,6 +25,7 @@ from .errors import (
 from .quadrature import (
     GaussianEnvelope,
     GridSpec,
+    ModeGrid,
     gauss_hermite_integral,
     hermgauss_cached,
 )
@@ -71,7 +72,9 @@ class WignerField:
     evaluate maps an (n, 2 * modes) array of phase-space points (ordered
     x_1..x_k, p_1..p_k) to n real values. polynomial_degree is the total
     degree of W * exp(+(z - c)^T Q (z - c)) when that product is polynomial,
-    else None.
+    else None. separable marks a two-mode field built from per-mode factors
+    (NOON, Fock synthesis): its evaluate also accepts a ModeGrid and returns
+    the (n1, n2) block of values, and its envelope never couples the modes.
     """
 
     modes: int
@@ -79,6 +82,7 @@ class WignerField:
     envelope: GaussianEnvelope
     polynomial_degree: int | None
     label: str = ""
+    separable: bool = False
 
     def __call__(self, points):
         points = np.asarray(points, dtype=float)
@@ -122,20 +126,30 @@ def _noon_field(N: int, phi: float) -> WignerField:
     # rho = (|N0> + e^{i phi}|0N>)(h.c.)/2 expanded into kernel products:
     # diagonal parts are Fock x vacuum Wigner products, the cross term is
     # (2^N / pi^2 N!) e^{-u1-u2} Re[e^{-i phi} (x1-ip1)^N (x2+ip2)^N].
+    # W is the sum over k of f1[k](x1, p1) f2[k](x2, p2), with the complex
+    # cross term split into its real and imaginary products.
+    diag_scale = (-1.0) ** N / (2.0 * math.pi**2)
     cross_scale = 2.0**N / (math.pi**2 * math.gamma(N + 1))
+    cross_phase = cross_scale * np.exp(-1j * phi)
+
+    def factors(x, p, sign, phase):
+        u = x * x + p * p
+        gauss = np.exp(-u)
+        lag = diag_scale * eval_laguerre(N, 2.0 * u) * gauss
+        cross = phase * (x + sign * 1j * p) ** N * gauss
+        return gauss, lag, cross
 
     def evaluate(z):
-        x1, x2, p1, p2 = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
-        u1 = x1 * x1 + p1 * p1
-        u2 = x2 * x2 + p2 * p2
-        gauss = np.exp(-u1 - u2)
-        sign = (-1.0) ** N
-        diag = (sign / (2.0 * math.pi**2)) * (
-            eval_laguerre(N, 2.0 * u1) + eval_laguerre(N, 2.0 * u2)
-        )
-        cross_phase = (x1 - 1j * p1) ** N * (x2 + 1j * p2) ** N
-        cross = cross_scale * (np.exp(-1j * phi) * cross_phase).real
-        return gauss * (diag + cross)
+        if isinstance(z, ModeGrid):
+            g1, l1, c1 = factors(z.x1, z.p1, -1.0, cross_phase)
+            g2, l2, c2 = factors(z.x2, z.p2, 1.0, 1.0)
+            f1 = np.stack([l1, g1, c1.real, -c1.imag], axis=1)
+            f2 = np.stack([g2, l2, c2.real, c2.imag])
+            # rank 4: numpy's own loop, which leaves the BLAS pool idle
+            return np.einsum("ak,kb->ab", f1, f2)
+        g1, l1, c1 = factors(z[:, 0], z[:, 2], -1.0, cross_phase)
+        g2, l2, c2 = factors(z[:, 1], z[:, 3], 1.0, 1.0)
+        return l1 * g2 + g1 * l2 + (c1 * c2).real
 
     return WignerField(
         modes=2,
@@ -143,6 +157,7 @@ def _noon_field(N: int, phi: float) -> WignerField:
         envelope=GaussianEnvelope(np.eye(4), np.zeros(4)),
         polynomial_degree=2 * N,
         label=f"noon(N={N},phi={float(phi)!r})",
+        separable=True,
     )
 
 
@@ -349,28 +364,18 @@ def _synth_values_one_mode(rho: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc * np.exp(-u) / math.pi
 
 
-def _synth_values_two_mode(rho4: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _synth_values_two_mode(rho4: np.ndarray, z) -> np.ndarray:
     dim = rho4.shape[0]
     d2 = dim * dim
-    n = z.shape[0]
     # pair mode-1 row/col indices and mode-2 row/col indices:
     # W = sum rho4[m,a,n,b] K1[(m,n)] K2[(a,b)]
     rho_mat = np.ascontiguousarray(rho4.transpose(0, 2, 1, 3).reshape(d2, d2))
-    pair1, idx1 = np.unique(z[:, [0, 2]], axis=0, return_inverse=True)
-    if pair1.shape[0] * 4 <= n:
-        # tensor-product quadrature grid: each mode sees only O(sqrt(n))
-        # distinct points, so contract rho into the mode-1 kernels once and
-        # finish each mode-1 group with a small matrix-vector product
-        pair2, idx2 = np.unique(z[:, [1, 3]], axis=0, return_inverse=True)
-        k1 = fock_kernel_values(pair1[:, 0], pair1[:, 1], dim).reshape(-1, d2)
-        k2 = fock_kernel_values(pair2[:, 0], pair2[:, 1], dim).reshape(-1, d2)
-        t1 = k1 @ rho_mat
-        out = np.empty(n, dtype=complex)
-        order = np.argsort(idx1, kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(idx1[order])) + 1)
-        for rows in groups:
-            out[rows] = k2[idx2[rows]] @ t1[idx1[rows[0]]]
-        return _require_real(out, "two-mode synthesis")
+    if isinstance(z, ModeGrid):
+        # per-mode kernels on per-mode nodes: the block is Re(K1 R K2^T)
+        k1 = fock_kernel_values(z.x1, z.p1, dim).reshape(-1, d2)
+        k2 = fock_kernel_values(z.x2, z.p2, dim).reshape(-1, d2)
+        return _require_real((k1 @ rho_mat) @ k2.T, "two-mode synthesis")
+    n = z.shape[0]
     block = max(1, SYNTH_BLOCK_FLOATS // (2 * d2))
     out = np.empty(n)
     for start in range(0, n, block):
@@ -404,6 +409,7 @@ def wigner_fock_synthesis(state: FockState, label: str | None = None) -> WignerF
         envelope=GaussianEnvelope(np.eye(2 * k), np.zeros(2 * k)),
         polynomial_degree=2 * state.cutoff * k,
         label=label or f"fock_synthesis(k={k},cutoff={state.cutoff})",
+        separable=k == 2,
     )
 
 
@@ -429,6 +435,7 @@ def dilate(field: WignerField, c: float) -> WignerField:
         ),
         polynomial_degree=field.polynomial_degree,
         label=f"dilate({field.label},c={float(c)!r})",
+        separable=field.separable,
     )
 
 
@@ -550,9 +557,9 @@ def expectation_phase_space(field: WignerField, A, order: int | None = None) -> 
     """Tr[rho A] as the phase-space average integral W(z) A~(z) dz.
 
     A is a single Hermitian matrix for k = 1, or a sequence of per-mode
-    Hermitian factors for k = 2 (the field's envelope must then be diagonal,
-    which holds for synthesis-based fields). Exact for polynomial-degree
-    fields and truncated operators.
+    Hermitian factors for k = 2 (the field's envelope must then not couple
+    the modes, which holds for NOON and synthesis-based fields). Exact for
+    polynomial-degree fields and truncated operators.
     """
     if field.modes == 1:
         A = np.asarray(A, dtype=complex)
@@ -582,47 +589,29 @@ def expectation_phase_space(field: WignerField, A, order: int | None = None) -> 
             if np.max(np.abs(a - a.conj().T)) > 1e-10:
                 raise InvalidArgumentError("expectation requires Hermitian operators")
         env = field.envelope.combine(GaussianEnvelope(np.eye(4), np.zeros(4)))
-        off_diag = env.form - np.diag(np.diag(env.form))
-        if np.max(np.abs(off_diag)) > 1e-12:
+        if not env.separates_modes():
             raise UnsupportedOperationError(
-                "two-mode expectation needs a diagonal envelope; "
-                "use a Fock-synthesis field"
+                "two-mode expectation needs an envelope that does not couple "
+                "the modes; use a Fock-synthesis field"
             )
         if order is None:
             deg_w = field.polynomial_degree if field.polynomial_degree is not None else 60
             deg_a = 2 * (a1.shape[0] - 1) + 2 * (a2.shape[0] - 1)
             order = max(8, (deg_w + deg_a) // 2 + 3)
-        return _expectation_two_mode_diagonal(field, a1, a2, env, order)
+
+        def integrand(grid):
+            # the uncoupled envelope puts the rule on per-mode node sets
+            if field.separable:
+                w = field.evaluate(grid)
+            else:
+                w = field.evaluate(grid.points()).reshape(grid.shape)
+            s1 = _symbol_factor_real(a1, grid.x1, grid.p1)
+            s2 = _symbol_factor_real(a2, grid.x2, grid.p2)
+            return w * s1[:, None] * s2[None, :]
+
+        return gauss_hermite_integral(integrand, env, order, separable=True)
 
     raise UnsupportedOperationError("expectation supports 1 or 2 modes")
-
-
-def _expectation_two_mode_diagonal(field, a1, a2, env, order: int) -> float:
-    from .quadrature import hermgauss_cached
-
-    t, wt = hermgauss_cached(order)
-    q = np.diag(env.form)
-    axes = [env.center[i] + t / math.sqrt(q[i]) for i in range(4)]
-    jac = 1.0 / math.sqrt(float(np.prod(q)))
-    # per-mode symbols on their own (x, p) subgrids; coords are (x1,x2,p1,p2)
-    g1 = np.meshgrid(axes[0], axes[2], indexing="ij")
-    g2 = np.meshgrid(axes[1], axes[3], indexing="ij")
-    s1 = _symbol_factor_real(a1, g1[0].ravel(), g1[1].ravel()).reshape(order, order)
-    s2 = _symbol_factor_real(a2, g2[0].ravel(), g2[1].ravel()).reshape(order, order)
-    partials = []
-    tail = np.meshgrid(axes[1], axes[2], axes[3], indexing="ij")
-    z_tail = np.stack([g.ravel() for g in tail], axis=1)
-    for i0 in range(order):
-        z = np.empty((z_tail.shape[0], 4))
-        z[:, 0] = axes[0][i0]
-        z[:, 1:] = z_tail
-        wvals = field.evaluate(z).reshape(order, order, order)
-        # indices (b, c, d) = (x2, p1, p2); s1 row i0 rides on the p1 weight
-        block = np.einsum(
-            "bcd,b,c,d,bd->", wvals, wt, wt * s1[i0], wt, s2, optimize=True
-        )
-        partials.append(wt[i0] * float(block))
-    return jac * math.fsum(partials)
 
 
 # ---------------------------------------------------------------------------

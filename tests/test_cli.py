@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wignermoments
 from wignermoments import cli, moments
 
 PI = math.pi
@@ -262,11 +265,15 @@ def test_byte_identical_reruns(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the package under test, installed or not
+    src = str(Path(wignermoments.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "wignermoments", "analyze", "--state", "vacuum"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "Inconclusive"

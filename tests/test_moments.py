@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from wignermoments import moments, oracle, states, wigner
 from wignermoments.errors import InvalidArgumentError, UnsupportedOperationError
-from wignermoments.quadrature import QuadratureSpec
+from wignermoments.quadrature import ModeGrid, QuadratureSpec, hermgauss_cached
 
 PI = math.pi
 
@@ -66,6 +67,64 @@ def test_noon_w3_against_exact_closed_forms():
         got = moments.moment(field_of(states.Noon(n)), 3)
         expect = oracle.noon_closed_form_moment(n, 3)
         assert got == pytest.approx(expect, rel=1e-9), f"N={n}"
+
+
+def _flat_reference(field, m, order):
+    """w_m on the same tensor nodes, meshed into points and passed to field(z).
+
+    The envelopes here are diagonal, so each axis is scaled on its own.
+    """
+    form = m * field.envelope.form
+    t, wt = hermgauss_cached(order)
+    q = np.diag(form)
+    axes = [field.envelope.center[i] + t / math.sqrt(q[i]) for i in range(4)]
+    z = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    weights = np.ones(1)
+    for _ in range(4):
+        weights = np.multiply.outer(weights, wt)
+    return float(np.sum(weights.ravel() * field(z) ** m)) / math.sqrt(float(np.prod(q)))
+
+
+def _random_two_mode_state(rng, cutoff):
+    d = (cutoff + 1) ** 2
+    g = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
+    rho = g @ g.conj().T
+    return states.FockCustom.from_matrix(rho / np.trace(rho).real, modes=2)
+
+
+def test_product_rule_matches_flat_reference():
+    rng = np.random.default_rng(7)
+    fields = [field_of(states.Noon(N, phi)) for N in range(1, 7) for phi in (0.0, 0.7, PI)]
+    # a numpy scalar factor must scale the per-mode nodes, not broadcast over them
+    fields += [wigner.dilate(field_of(states.Noon(2)), c) for c in (0.5, np.float64(2.0))]
+    fields += [field_of(_random_two_mode_state(rng, c)) for c in (1, 2, 3)]
+    for field in fields:
+        seen = []
+
+        def evaluate(z, _f=field.evaluate):
+            seen.append(type(z))
+            return _f(z)
+
+        traced = dataclasses.replace(field, evaluate=evaluate)
+        for m in (1, 2, 3):
+            order = moments.exactness_order(field, m)
+            got = moments.moment(traced, m)
+            assert got == pytest.approx(_flat_reference(field, m, order), rel=1e-13, abs=0), (
+                f"{field.label} m={m}"
+            )
+        assert set(seen) == {ModeGrid}, field.label
+
+
+def test_coupled_envelope_keeps_flat_points():
+    seen = []
+    field = field_of(states.Tmsv(0.3))
+
+    def evaluate(z):
+        seen.append(type(z))
+        return field.evaluate(z)
+
+    moments.moment(dataclasses.replace(field, evaluate=evaluate), 2)
+    assert set(seen) == {np.ndarray}
 
 
 def test_gaussian_closed_form_formula():

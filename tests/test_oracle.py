@@ -10,14 +10,16 @@ from wignermoments.quadrature import GridSpec
 PI = math.pi
 
 # Frozen expected values. The first block is exact closed-form arithmetic:
-# w3 for the phase-pi N-photon two-mode superposition, N = 1..5, computed in
-# rational arithmetic and rounded once.
+# w3 for the phase-pi N-photon two-mode superposition, N = 1..5, as exact
+# rationals times pi^-4. They were derived without the package, by expanding
+# W^3 as a polynomial times exp(-3 (u1 + u2)) and integrating every Gaussian
+# monomial exactly.
 NOON_W3 = {
-    1: 1.2674052171289364e-04,  # = 1/(81 pi^4)
-    2: 1.4082280190321403e-05,
-    3: -4.8853342372022617e-05,
-    4: 5.9207392001960846e-05,
-    5: 2.7728848911169788e-05,
+    1: 1 / 81 / PI**4,
+    2: 1 / 729 / PI**4,
+    3: -281 / 3**10 / PI**4,
+    4: 3065 / 3**12 / PI**4,
+    5: 12919 / 3**14 / PI**4,
 }
 
 # Single-mode Fock w3, exact closed forms rounded to the printed precision
@@ -71,7 +73,7 @@ def test_noon_w2_is_purity_for_all_n():
 def test_noon_w3_frozen_values():
     for n, expect in NOON_W3.items():
         got = oracle.noon_closed_form_moment(n, 3)
-        assert got == pytest.approx(expect, rel=1e-12), f"N={n}"
+        assert got == pytest.approx(expect, rel=1e-12, abs=0), f"N={n}"
 
 
 def test_noon1_w3_is_inverse_81_pi4():

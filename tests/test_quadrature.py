@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wignermoments import moments, states, wigner
 from wignermoments.errors import (
     DegenerateCovarianceError,
     InvalidArgumentError,
@@ -145,3 +146,10 @@ def test_large_tensor_rejected():
     env = GaussianEnvelope(np.eye(4), np.zeros(4))
     with pytest.raises(SizeLimitError):
         gauss_hermite_integral(lambda z: np.ones(z.shape[0]), env, order=100)
+    # fields integrated on per-mode node sets meet the same cap on order^4
+    noon = wigner.wigner_analytic(states.Noon(2))
+    synth = wigner.wigner_fock_synthesis(states.state_from_spec(states.Noon(1), 2))
+    for field in (noon, synth):
+        assert field.separable
+        with pytest.raises(SizeLimitError):
+            moments.moment(field, 2, QuadratureSpec(order=100))
