@@ -365,7 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_multi = sub.add_parser("multicopy", help="operator route vs quadrature")
     _add_state_flags(p_multi)
     p_multi.add_argument("--cutoff", type=int, default=None)
-    p_multi.add_argument("--alpha-order", dest="alpha_order", type=int, default=None)
+    p_multi.add_argument(
+        "--alpha-order",
+        dest="alpha_order",
+        type=int,
+        default=None,
+        help="radial Gauss-Laguerre nodes for O_2/O_3 (default m*cutoff//2+1, "
+        "the fewest that are exact; fewer warn)",
+    )
     p_multi.add_argument("--max-side", dest="max_side", type=int, default=4096)
     p_multi.add_argument("--dump-operator", dest="dump_operator", default=None)
     p_multi.add_argument("--dump-m", dest="dump_m", type=int, choices=(2, 3), default=2)

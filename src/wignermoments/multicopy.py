@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from functools import lru_cache
-
 from .errors import (
     InvalidArgumentError,
     SizeLimitError,
@@ -44,14 +42,11 @@ __all__ = [
     "forward_backward_protocol",
 ]
 
-DEFAULT_ALPHA_ORDER = 40
 DEFAULT_MAX_SIDE = 4096
 # Rows/columns touching the top Fock levels see O(1) truncation artifacts;
 # identity checks restrict to indices whose per-mode occupation stays this
 # many levels below the cutoff.
 SAFE_BOUNDARY_LEVELS = 2
-
-_KRON_BATCH_FLOATS = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -186,53 +181,13 @@ def displaced_parity(alpha: complex, cutoff: int) -> TruncatedOperator:
     return TruncatedOperator(modes=1, cutoff=cutoff, matrix=mat)
 
 
-@lru_cache(maxsize=16)
-def _plain_hermgauss(order: int):
-    """Raw Gauss-Hermite rule; the weight e^{-t^2} stays with the rule.
-
-    The O_m integrand is a pure polynomial after the shared Gaussian of the
-    parity kernels is folded into the substitution, so the standard rule
-    applies directly (unlike quadrature.hermgauss_cached, whose weights
-    expect the integrand to carry its own decay).
-    """
-    return np.polynomial.hermite.hermgauss(order)
-
-
-def _parity_kernel_batch(x: np.ndarray, p: np.ndarray, dim: int) -> np.ndarray:
-    """Matrix elements of Pi(alpha) *without* the e^{-2|alpha|^2} factor.
-
-    <m|D(a) Pi D(a)'|n> = pi * W_{|n><m|}(x, p) at x = sqrt(2) Re a,
-    p = sqrt(2) Im a. fock_kernel_values[m, n] holds W_{|m><n|}, so the
-    parity elements are its conjugate; stripping the shared Gaussian
-    leaves the polynomial part, which is what tensor Gauss-Hermite
-    integration wants.
-    """
-    return np.conj(fock_kernel_values(x, p, dim, include_envelope=False))
-
-
-def _kron_power_accumulate(kernels, weights, m, side):
-    """sum_p weights[p] * kron^m(kernels[p]), organized as matrix products.
-
-    Work in the vectorized index (row, col) per copy: the weighted sum of
-    outer powers is a tall GEMM, and a single axis transpose at the end
-    regroups (r1,c1,...,rm,cm) into kron's (r1..rm, c1..cm) layout.
-    """
-    d2 = kernels.shape[1] * kernels.shape[2]
-    flat = kernels.reshape(-1, d2)
-    batch = max(1, _KRON_BATCH_FLOATS // (d2 ** (m - 1)))
-    gram = np.zeros((d2 ** (m - 1), d2), dtype=complex)
-    for start in range(0, flat.shape[0], batch):
-        fb = flat[start : start + batch]
-        wb = weights[start : start + batch]
-        if m == 2:
-            lead = fb
-        else:
-            lead = (fb[:, :, None] * fb[:, None, :]).reshape(fb.shape[0], d2 * d2)
-        gram += (wb[:, None] * lead).T @ fb
-    d = kernels.shape[1]
-    tensor = gram.reshape((d, d) * m)
-    order = list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))
-    return np.transpose(tensor, order).reshape(side, side)
+def _photon_totals(dim: int, copies: int) -> np.ndarray:
+    """Total photon number of each basis state of `copies` registers."""
+    levels = np.arange(dim)
+    totals = levels
+    for _ in range(copies - 1):
+        totals = (totals[:, None] + levels[None, :]).ravel()
+    return totals
 
 
 def multicopy_observable(
@@ -244,13 +199,16 @@ def multicopy_observable(
     """The m-copy observable O_m with Tr[rho^(x)m O_m] = w_m.
 
     O_m = (2/pi^m) * integral of Pi(alpha)^(x)m over the alpha plane.
-    Matrix elements of Pi(alpha) are polynomials times e^{-2|alpha|^2};
-    the m-fold product carries e^{-2m|alpha|^2}, so rescaling
-    alpha = (t_re + i t_im)/sqrt(2m) turns the integral into a tensor
-    Gauss-Hermite sum that is *exact* once the order exceeds
-    m*cutoff + 1. The constant makes the vacuum come out at
-    w_m = 1/(m*pi^{m-1}); every other state is then an independent
-    check, and for m=2 the whole matrix collapses to SWAP/(2pi).
+    Rotating alpha -> alpha e^{i theta} multiplies the entry [r, c] of
+    Pi(alpha)^(x)m by e^{i(sum r - sum c) theta}, so the angular integral
+    is 2 pi on the entries with sum r = sum c (the photon-number selection
+    rule) and exactly 0 elsewhere. With alpha = t/sqrt(2m) and s = |t|^2
+    the rest is the radial integral of e^{-s} times a polynomial in s of
+    degree <= m*cutoff, taken on the real axis where the kernels are
+    real. alpha_quadrature_order counts the radial Gauss-Laguerre nodes;
+    m*cutoff//2 + 1 of them (the default) make the rule exact, and fewer
+    draw a TruncationWarning. The vacuum comes out at
+    w_m = 1/(m*pi^{m-1}), and for m=2 the whole matrix is SWAP/(2pi).
     """
     if m not in (2, 3):
         raise UnsupportedOperationError("multicopy_observable supports m in {2, 3}")
@@ -262,10 +220,14 @@ def multicopy_observable(
         raise SizeLimitError(
             f"m={m} copies at cutoff {cutoff} give side {side} > limit {max_side}"
         )
-    exact_order = m * cutoff + 3
+    exact_order = m * cutoff // 2 + 1
     order = alpha_quadrature_order
     if order is None:
-        order = max(DEFAULT_ALPHA_ORDER, exact_order)
+        order = exact_order
+    elif not isinstance(order, (int, np.integer)) or order < 1:
+        raise InvalidArgumentError(
+            f"alpha order counts radial nodes and must be an int >= 1, got {order!r}"
+        )
     elif order < exact_order:
         warnings.warn(
             f"alpha order {order} is below the exactness threshold {exact_order} "
@@ -273,17 +235,29 @@ def multicopy_observable(
             TruncationWarning,
             stacklevel=2,
         )
-    nodes, weights = _plain_hermgauss(order)
-    # alpha = (t_i + i t_j)/sqrt(2m); the kernel wants x = sqrt(2) Re alpha.
-    axis = nodes / math.sqrt(m)
-    xg, pg = np.meshgrid(axis, axis, indexing="ij")
-    kernels = _parity_kernel_batch(xg.ravel(), pg.ravel(), d)
-    w2d = np.outer(weights, weights).ravel()
-    total = _kron_power_accumulate(kernels, w2d, m, side)
-    # d^2 alpha = dt_re dt_im / (2m); prefactor 2/pi^m.
-    total *= 2.0 / (math.pi**m) / (2.0 * m)
-    total = 0.5 * (total + total.conj().T)
-    return TruncatedOperator(modes=m, cutoff=cutoff, matrix=total)
+    nodes, weights = np.polynomial.laguerre.laggauss(order)
+    # alpha = sqrt(s/(2m)) on the real axis; the kernel wants x = sqrt(2) Re alpha.
+    # Pi's entries are the conjugated kernels, which are real there.
+    kernels = fock_kernel_values(
+        np.sqrt(nodes / m), np.zeros(order), d, include_envelope=False
+    ).real
+    # Weighted sum of m-fold outer powers in the per-copy (row, col) layout:
+    # one GEMM, then a transpose regroups (r1,c1,...,rm,cm) into (r1..rm, c1..cm).
+    flat = kernels.reshape(order, d * d)
+    lead = flat
+    for _ in range(m - 2):
+        lead = (lead[:, :, None] * flat[:, None, :]).reshape(order, -1)
+    gram = (weights[:, None] * lead).T @ flat
+    axes = list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))
+    total = np.transpose(gram.reshape((d, d) * m), axes).reshape(side, side)
+    totals = _photon_totals(d, m)
+    total[totals[:, None] != totals[None, :]] = 0.0
+    # d^2 alpha = pi ds / (2m) after the angular integral; prefactor 2/pi^m.
+    total *= 1.0 / (m * math.pi ** (m - 1))
+    total = 0.5 * (total + total.T)
+    # complex128 on purpose: multicopy_expectation contracts with complex
+    # density matrices, and a real operator would be upcast on every call.
+    return TruncatedOperator(modes=m, cutoff=cutoff, matrix=total.astype(complex))
 
 
 def _as_density_matrix(rho) -> np.ndarray:

@@ -173,6 +173,15 @@ def test_multicopy_size_limit_exit_code(capsys):
     assert err.startswith("error (size-limit):")
 
 
+def test_multicopy_bad_alpha_order_exit_code(capsys):
+    code, out, err = run(
+        capsys, ["multicopy", "--state", "vacuum", "--cutoff", "3", "--alpha-order", "0"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error (invalid-argument):")
+
+
 def test_multicopy_dump_operator(tmp_path, capsys):
     path = tmp_path / "o2.csv"
     code, _, _ = run(

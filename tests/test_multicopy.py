@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wignermoments import moments, multicopy, states, wigner
+from wignermoments import moments, multicopy, oracle, states, wigner
 from wignermoments.errors import (
     InvalidArgumentError,
     SizeLimitError,
@@ -217,7 +217,87 @@ def test_multicopy_observable_guards():
     with pytest.raises(SizeLimitError):
         multicopy.multicopy_observable(3, 20)  # 9261 > 4096
     with pytest.warns(TruncationWarning):
-        multicopy.multicopy_observable(2, 6, alpha_quadrature_order=8)
+        multicopy.multicopy_observable(2, 6, alpha_quadrature_order=6)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5])
+def test_multicopy_observable_rejects_bad_alpha_order(bad):
+    with pytest.raises(InvalidArgumentError):
+        multicopy.multicopy_observable(2, 3, alpha_quadrature_order=bad)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 5, 8])
+def test_under_resolved_radial_rule_misses_fock_w3(cutoff):
+    # m*cutoff//2 + 1 radial nodes are exact; one fewer must visibly miss,
+    # so the TruncationWarning guards a real error
+    spec = states.Fock(cutoff)
+    state = states.state_from_spec(spec, cutoff=cutoff)
+    want = oracle.radial_closed_form_moment(spec, 3)
+    exact_order = 3 * cutoff // 2 + 1
+    with pytest.warns(TruncationWarning):
+        short = multicopy.multicopy_observable(3, cutoff, exact_order - 1)
+    miss = multicopy.multicopy_expectation(short, [state] * 3).real - want
+    assert abs(miss) > 1e-6
+    exact = multicopy.multicopy_observable(3, cutoff, exact_order)
+    hit = multicopy.multicopy_expectation(exact, [state] * 3).real - want
+    assert abs(hit) < 1e-12
+
+
+def gauss_hermite_observable(m, cutoff, order=40):
+    """Reference O_m from a 2-D Gauss-Hermite rule over the alpha plane.
+
+    alpha = (t_re + i t_im)/sqrt(2m) folds the e^{-2m|alpha|^2} of the
+    parity kernels into the Hermite weight; exact once order > m*cutoff + 1.
+    No selection rule is used: every entry is integrated as it stands.
+    """
+    d = cutoff + 1
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    xg, pg = np.meshgrid(nodes / math.sqrt(m), nodes / math.sqrt(m), indexing="ij")
+    kernels = np.conj(
+        wigner.fock_kernel_values(xg.ravel(), pg.ravel(), d, include_envelope=False)
+    )
+    w2d = np.outer(weights, weights).ravel()
+    total = np.zeros((d**m, d**m), dtype=complex)
+    for w, k in zip(w2d, kernels):
+        power = k
+        for _ in range(m - 1):
+            power = np.kron(power, k)
+        total += w * power
+    total *= 2.0 / PI**m / (2.0 * m)
+    return 0.5 * (total + total.conj().T)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5])
+def test_radial_rule_matches_gauss_hermite_reference(m, cutoff):
+    got = multicopy.multicopy_observable(m, cutoff).matrix
+    want = gauss_hermite_observable(m, cutoff)
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("m, cutoff", [(2, 7), (3, 4)])
+def test_observable_obeys_photon_number_selection_rule(m, cutoff):
+    mat = multicopy.multicopy_observable(m, cutoff).matrix
+    d = cutoff + 1
+    digits = np.stack(np.unravel_index(np.arange(d**m), (d,) * m))
+    totals = digits.sum(axis=0)
+    outside = totals[:, None] != totals[None, :]
+    assert np.all(mat[outside] == 0.0)
+    assert np.count_nonzero(mat[~outside]) > 0
+    assert np.all(mat.imag == 0.0)
+    assert np.array_equal(mat, mat.T)
+
+
+def test_o3_at_cutoff_12_matches_exact_moments():
+    cutoff = 12
+    op = multicopy.multicopy_observable(3, cutoff)
+    specs = [states.Fock(n) for n in range(cutoff + 1)] + [states.MixedFock01(0.3)]
+    for spec in specs:
+        state = states.state_from_spec(spec, cutoff=cutoff)
+        got = multicopy.multicopy_expectation(op, [state] * 3)
+        want = oracle.radial_closed_form_moment(spec, 3)
+        assert got.real == pytest.approx(want, rel=0, abs=1e-12), spec
+        assert got.imag == 0.0
 
 
 def test_multicopy_expectation_guards():
