@@ -11,7 +11,8 @@ All numeric output uses shortest round-trip float formatting and fixed
 key/column order, so identical invocations produce byte-identical files.
 The WIGNERMOMENTS_THREADS environment variable caps the BLAS/OpenMP
 thread pools; it is applied before numpy is first imported, which is why
-this module defers every numpy-dependent import into the handlers.
+this module defers every numpy-dependent import into the handlers (the
+error taxonomy imports nothing).
 
 Exit codes: 0 success, 2 usage error, 3 numerical precondition failed,
 4 resource limit. A verdict of Inconclusive is a result, not an error.
@@ -23,6 +24,8 @@ import argparse
 import json
 import os
 import sys
+
+from .errors import InvalidArgumentError, UnsupportedOperationError, WignerMomentsError
 
 THREAD_ENV = "WIGNERMOMENTS_THREADS"
 
@@ -89,39 +92,27 @@ def _add_state_flags(sub) -> None:
 
 
 def _state_spec(args):
+    from dataclasses import MISSING, fields
+
     from . import states
-    from .errors import InvalidArgumentError
 
     name = args.state
     if name is None:
         raise InvalidArgumentError("--state is required (flag or config file)")
     if name == "vacuum":
         return states.Fock(0)
-    if name == "fock":
-        if args.n is None:
-            raise InvalidArgumentError("--state fock requires --n")
-        return states.Fock(args.n)
-    if name == "noon":
-        if args.N is None:
-            raise InvalidArgumentError("--state noon requires --N")
-        if args.phi is None:
-            return states.Noon(args.N)
-        return states.Noon(args.N, args.phi)
-    if name == "tmsv":
-        if args.r is None:
-            raise InvalidArgumentError("--state tmsv requires --r")
-        return states.Tmsv(args.r)
-    if name == "spssv":
-        if args.r is None:
-            raise InvalidArgumentError("--state spssv requires --r")
-        if args.parity is None:
-            return states.Spssv(args.r)
-        return states.Spssv(args.r, args.parity)
-    if name == "mixed01":
-        if args.lam is None:
-            raise InvalidArgumentError("--state mixed01 requires --lam")
-        return states.MixedFock01(args.lam)
-    raise InvalidArgumentError(f"unknown state {name!r}")
+    if name not in states.FAMILIES:
+        raise InvalidArgumentError(f"unknown state {name!r}")
+    # each spec field has its own flag; one without a default is required
+    spec_cls = states.FAMILIES[name].spec
+    kwargs = {}
+    for f in fields(spec_cls):
+        value = getattr(args, f.name)
+        if value is not None:
+            kwargs[f.name] = value
+        elif f.default is MISSING:
+            raise InvalidArgumentError(f"--state {name} requires --{f.name}")
+    return spec_cls(**kwargs)
 
 
 def _quad_spec(args):
@@ -198,11 +189,17 @@ def _mixed_lambda_star() -> float:
     return 0.5 * (lo + hi)
 
 
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise InvalidArgumentError(f"{flag} must be >= 1, got {value}")
+
+
 def cmd_figure(args) -> int:
     import numpy as np
 
     from . import moments
 
+    _require_positive("--steps", args.steps)
     if args.figure == "fig1":
         results = moments.sweep("noon", range(1, 6))
     elif args.figure == "fig2":
@@ -242,7 +239,6 @@ def cmd_grid(args) -> int:
 
 def cmd_multicopy(args) -> int:
     from . import moments, multicopy, oracle, states, wigner
-    from .errors import UnsupportedOperationError
 
     spec = _state_spec(args)
     if states.spec_modes(spec) != 1:
@@ -287,6 +283,7 @@ def cmd_multicopy(args) -> int:
 def cmd_selftest(args) -> int:
     from . import moments, soundness
 
+    _require_positive("--count", args.count)
     base = args.count // 5
     specs = soundness.positive_state_specs(
         args.seed,
@@ -390,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> dict:
-    from .errors import InvalidArgumentError
-
     values = {}
     try:
         with open(path) as fh:
@@ -420,8 +415,6 @@ def _load_config(path: str) -> dict:
 
 def main(argv=None) -> int:
     _apply_thread_env()
-    from .errors import WignerMomentsError
-
     parser = build_parser()
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)

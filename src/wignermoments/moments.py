@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
 from scipy.integrate import quad as scipy_quad
@@ -28,15 +28,12 @@ from .quadrature import (
     uniform_grid_integral,
 )
 from .states import (
-    Fock,
+    FAMILIES,
     FockCustom,
     GaussianCustom,
     GaussianState,
-    MixedFock01,
-    Noon,
-    Spssv,
     StateSpec,
-    Tmsv,
+    param_type,
     spec_label,
     state_from_spec,
 )
@@ -63,15 +60,11 @@ INCONCLUSIVE = "Inconclusive"
 MARGIN_FLOOR = 1e-9
 
 DEFAULT_HALF_WIDTH = {1: 7.0, 2: 6.0}
-FALLBACK_DEGREE = 60  # order heuristic when a field has unbounded degree
 
 
 def exactness_order(field: WignerField, m: int) -> int:
     """Per-axis Gauss-Hermite order that integrates W^m exactly."""
-    deg = field.polynomial_degree
-    if deg is None:
-        deg = FALLBACK_DEGREE
-    return max(8, (m * deg) // 2 + 2)
+    return max(8, (m * field.polynomial_degree) // 2 + 2)
 
 
 def moment(field: WignerField, m: int, quad: QuadratureSpec | None = None) -> float:
@@ -207,25 +200,18 @@ def read_report(text: str) -> MomentReport:
 def field_for(spec: StateSpec, cutoff: int | None):
     """Best evaluator path for a spec plus the Fock cutoff actually used.
 
-    Catalog states default to their closed forms (cutoff None in the
-    report); an explicit cutoff forces the truncated synthesis path instead.
+    Without a cutoff a spec gets its closed form (cutoff None in the report),
+    with one the truncated synthesis path; Gaussians refuse a cutoff, and a
+    FockCustom matrix is its own truncation.
     """
     if isinstance(spec, GaussianCustom):
         if cutoff is not None:
             raise InvalidArgumentError("Gaussian states take no cutoff")
         return wigner_gaussian(state_from_spec(spec)), None
-    if isinstance(spec, FockCustom):
-        state = state_from_spec(spec)
-        return wigner_fock_synthesis(state, label=spec_label(spec)), state.cutoff
-    if isinstance(spec, (Fock, Noon, Tmsv, Spssv, MixedFock01)):
-        if cutoff is None:
-            return wigner_analytic(spec), None
-        state = state_from_spec(spec, cutoff)
-        return (
-            wigner_fock_synthesis(state, label=spec_label(spec)),
-            state.cutoff,
-        )
-    raise InvalidArgumentError(f"unknown state spec {spec!r}")
+    if cutoff is None and not isinstance(spec, FockCustom):
+        return wigner_analytic(spec), None
+    state = state_from_spec(spec, cutoff)
+    return wigner_fock_synthesis(state, label=spec_label(spec)), state.cutoff
 
 
 def analyze(
@@ -261,7 +247,7 @@ def analyze(
     delta = moments[2] ** 2 - moments[3]
     verdict = criterion(moments[2], moments[3], max(MARGIN_FLOOR, 3.0 * est_error))
     return MomentReport(
-        state=field.label or spec_label(spec),
+        state=field.label,
         modes=field.modes,
         cutoff=used_cutoff,
         quadrature=quad,
@@ -277,23 +263,17 @@ def analyze(
 # sweeps
 
 
-SWEEP_FAMILIES = ("fock", "noon", "mixed01", "tmsv", "spssv")
+SWEEP_FAMILIES = tuple(FAMILIES)
 
 
 def _sweep_spec(family: str, value):
-    if family == "fock":
-        return Fock(int(value))
-    if family == "noon":
-        return Noon(int(value))
-    if family == "mixed01":
-        return MixedFock01(float(value))
-    if family == "tmsv":
-        return Tmsv(float(value))
-    if family == "spssv":
-        return Spssv(float(value))
-    raise InvalidArgumentError(
-        f"unknown sweep family {family!r}; expected one of {SWEEP_FAMILIES}"
-    )
+    """The family's spec with `value` as its first field, the rest default."""
+    if family not in FAMILIES:
+        raise InvalidArgumentError(
+            f"unknown sweep family {family!r}; expected one of {SWEEP_FAMILIES}"
+        )
+    spec_cls = FAMILIES[family].spec
+    return spec_cls(param_type(fields(spec_cls)[0])(value))
 
 
 def sweep(family: str, values, quad: QuadratureSpec | None = None):

@@ -127,6 +127,14 @@ def _exp_weight_integral(coeffs: list[Fraction], s: int) -> Fraction:
     )
 
 
+# g(u) in W = (1/pi) e^{-u} g(u). Fraction(float) is exact, so the mixture's
+# moment is the true moment of the state built from the float weight.
+_RADIAL_PROFILES = {
+    Fock: lambda s: [-c if s.n % 2 else c for c in _laguerre_2u_coeffs(s.n)],
+    MixedFock01: lambda s: [2 * Fraction(s.lam) - 1, 2 * (1 - Fraction(s.lam))],
+}
+
+
 def radial_closed_form_moment(spec: StateSpec, m: int) -> float:
     """Exact w_m for radially symmetric single-mode catalog states.
 
@@ -135,22 +143,13 @@ def radial_closed_form_moment(spec: StateSpec, m: int) -> float:
     """
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise InvalidArgumentError(f"moment order must be a positive int, got {m}")
-    if isinstance(spec, Fock):
-        # W = ((-1)^n/pi) e^{-u} L_n(2u)
-        coeffs = _poly_pow(_laguerre_2u_coeffs(spec.n), m)
-        integral = _exp_weight_integral(coeffs, m)
-        sign = (-1) ** (spec.n * m)
-        return float(sign * integral) / math.pi ** (m - 1)
-    if isinstance(spec, MixedFock01):
-        # Fraction(float) is exact, so this is the true moment of the state
-        # actually constructed from the float weight.
-        lam = Fraction(spec.lam)
-        coeffs = _poly_pow([2 * lam - 1, 2 * (1 - lam)], m)
-        integral = _exp_weight_integral(coeffs, m)
-        return float(integral) / math.pi ** (m - 1)
-    raise InvalidArgumentError(
-        f"no radial closed form for {spec!r}; supported: Fock, MixedFock01"
-    )
+    profile = _RADIAL_PROFILES.get(type(spec))
+    if profile is None:
+        raise InvalidArgumentError(
+            f"no radial closed form for {spec!r}; supported: Fock, MixedFock01"
+        )
+    integral = _exp_weight_integral(_poly_pow(profile(spec), m), m)
+    return float(integral) / math.pi ** (m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +162,6 @@ def radial_closed_form_moment(spec: StateSpec, m: int) -> float:
 # products of radial integrals:
 #   J_f = int_0^inf e^{-s u} f(u) du
 # with f built from L_N(2u) and u^N. Weights: s = 2 for w2, s = 3 for w3.
-
-
-def _radial_integral(poly: list[Fraction], s: int) -> Fraction:
-    return _exp_weight_integral(poly, s)
 
 
 def noon_closed_form_moment(N: int, m: int) -> float:
@@ -186,17 +181,17 @@ def noon_closed_form_moment(N: int, m: int) -> float:
     u_pow_n = [Fraction(0)] * N + [Fraction(1)]
     fact = Fraction(math.factorial(N))
     if m == 2:
-        j_l = _radial_integral(lag, 2)
-        j_l2 = _radial_integral(_poly_mul(lag, lag), 2)
-        j_p = _radial_integral(u_pow_n, 2)  # = N!/2^{N+1}
+        j_l = _exp_weight_integral(lag, 2)
+        j_l2 = _exp_weight_integral(_poly_mul(lag, lag), 2)
+        j_p = _exp_weight_integral(u_pow_n, 2)  # = N!/2^{N+1}
         total = fact**2 * (j_l2 + 2 * j_l**2) + 2 * Fraction(4**N) * j_p**2
         return float(total / (4 * fact**2)) / math.pi**2
     if m == 3:
-        i_l = _radial_integral(lag, 3)
-        i_l2 = _radial_integral(_poly_mul(lag, lag), 3)
-        i_l3 = _radial_integral(_poly_mul(_poly_mul(lag, lag), lag), 3)
-        i_p = _radial_integral(u_pow_n, 3)  # = N!/3^{N+1}
-        i_pl = _radial_integral(_poly_mul(u_pow_n, lag), 3)
+        i_l = _exp_weight_integral(lag, 3)
+        i_l2 = _exp_weight_integral(_poly_mul(lag, lag), 3)
+        i_l3 = _exp_weight_integral(_poly_mul(_poly_mul(lag, lag), lag), 3)
+        i_p = _exp_weight_integral(u_pow_n, 3)  # = N!/3^{N+1}
+        i_pl = _exp_weight_integral(_poly_mul(u_pow_n, lag), 3)
         total = (
             Fraction(2, 3) * i_l3
             + 6 * i_l2 * i_l

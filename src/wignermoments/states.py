@@ -9,7 +9,8 @@ matrices are indexed by the flattened pair n_1 * (cutoff + 1) + n_2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .errors import (
 )
 
 __all__ = [
+    "FAMILIES",
+    "Family",
     "Fock",
     "Noon",
     "Tmsv",
@@ -37,6 +40,7 @@ __all__ = [
     "fock_state",
     "mixed_fock01",
     "noon_state",
+    "param_type",
     "partial_trace",
     "spec_label",
     "spec_modes",
@@ -157,38 +161,6 @@ class FockCustom:
 
 
 StateSpec = Fock | Noon | Tmsv | Spssv | MixedFock01 | GaussianCustom | FockCustom
-
-
-def spec_label(spec: StateSpec) -> str:
-    """Short stable label used in reports and CSV rows."""
-    if isinstance(spec, Fock):
-        return f"fock(n={spec.n})"
-    if isinstance(spec, Noon):
-        return f"noon(N={spec.N},phi={float(spec.phi)!r})"
-    if isinstance(spec, Tmsv):
-        return f"tmsv(r={float(spec.r)!r})"
-    if isinstance(spec, Spssv):
-        return f"spssv(r={float(spec.r)!r},parity={spec.parity})"
-    if isinstance(spec, MixedFock01):
-        return f"mixed01(lam={float(spec.lam)!r})"
-    if isinstance(spec, GaussianCustom):
-        return f"gaussian(k={len(spec.mean) // 2})"
-    if isinstance(spec, FockCustom):
-        side = len(spec.matrix)
-        return f"fock_custom(k={spec.modes},side={side})"
-    raise InvalidArgumentError(f"unknown state spec {spec!r}")
-
-
-def spec_modes(spec: StateSpec) -> int:
-    if isinstance(spec, (Fock, MixedFock01)):
-        return 1
-    if isinstance(spec, (Noon, Tmsv, Spssv)):
-        return 2
-    if isinstance(spec, GaussianCustom):
-        return len(spec.mean) // 2
-    if isinstance(spec, FockCustom):
-        return spec.modes
-    raise InvalidArgumentError(f"unknown state spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +323,8 @@ def tmsv_min_cutoff(r: float, tail: float = TRUNCATION_TAIL) -> int:
     discarded probability above cutoff c is exactly lam^{2(c+1)}.
     """
     lam = math.tanh(r)
+    if lam >= 1.0:  # tanh(r) rounds to 1
+        raise CutoffTooSmallError(f"no finite cutoff reaches tail {tail:g} for r={r}")
     c = math.ceil(math.log(tail) / (2.0 * math.log(lam)) - 1.0)
     return max(1, c)
 
@@ -395,6 +369,8 @@ def tmsv_gaussian(r: float) -> GaussianState:
 def spssv_min_cutoff(r: float, tail: float = TRUNCATION_TAIL) -> int:
     """Smallest cutoff for the photon-subtracted state (weights ~ n lam^{2n})."""
     lam2 = math.tanh(r) ** 2
+    if lam2 >= 1.0:  # tanh(r) rounds to 1
+        raise CutoffTooSmallError(f"no finite cutoff reaches tail {tail:g} for r={r}")
     total = lam2 / (1.0 - lam2) ** 2
     c = 1
     while c < 100_000:
@@ -432,9 +408,11 @@ def spssv_state(r: float, parity: int = 1, cutoff: int | None = None) -> FockSta
     return FockState.from_ket(ket, modes=2)
 
 
-def mixed_fock01(lam: float, cutoff: int = 1) -> FockState:
-    """lam |0><0| + (1 - lam) |1><1|."""
+def mixed_fock01(lam: float, cutoff: int | None = None) -> FockState:
+    """lam |0><0| + (1 - lam) |1><1| truncated at `cutoff` (default 1)."""
     MixedFock01(lam)
+    if cutoff is None:
+        cutoff = 1
     if cutoff < 1:
         raise CutoffTooSmallError("mixed 0/1 state needs cutoff >= 1")
     return FockState.from_mixture(
@@ -442,23 +420,79 @@ def mixed_fock01(lam: float, cutoff: int = 1) -> FockState:
     )
 
 
+# ---------------------------------------------------------------------------
+# the catalog family table
+
+
+@dataclass(frozen=True)
+class Family:
+    """A catalog state family: spec class, mode count, Fock-basis constructor."""
+
+    spec: type
+    modes: int
+    build: Callable[..., FockState]  # (*spec fields, cutoff); cutoff None: default
+
+
+# Every family dispatcher reads this table; its order is the CLI's --state order.
+FAMILIES = {
+    "fock": Family(Fock, 1, fock_state),
+    "noon": Family(Noon, 2, noon_state),
+    "tmsv": Family(Tmsv, 2, tmsv_state),
+    "spssv": Family(Spssv, 2, spssv_state),
+    "mixed01": Family(MixedFock01, 1, mixed_fock01),
+}
+_FAMILY_OF = {family.spec: name for name, family in FAMILIES.items()}
+
+
+def _family_of(spec) -> str:
+    """Name of a catalog spec's family; InvalidArgumentError for anything else."""
+    try:
+        return _FAMILY_OF[type(spec)]
+    except KeyError:
+        raise InvalidArgumentError(f"unknown state spec {spec!r}") from None
+
+
+def param_type(f: Field) -> type:
+    """int or float: the declared type of a catalog spec field."""
+    # annotations are strings under `from __future__ import annotations`
+    return int if f.type in (int, "int") else float
+
+
+def spec_label(spec: StateSpec) -> str:
+    """Short stable label used in reports and CSV rows.
+
+    A catalog label is `family(field=value,...)` over the spec's fields, int
+    fields printed with str and float fields with repr(float(value)).
+    """
+    if isinstance(spec, GaussianCustom):
+        return f"gaussian(k={len(spec.mean) // 2})"
+    if isinstance(spec, FockCustom):
+        return f"fock_custom(k={spec.modes},side={len(spec.matrix)})"
+    name = _family_of(spec)
+    params = []
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        text = str(value) if param_type(f) is int else repr(float(value))
+        params.append(f"{f.name}={text}")
+    return f"{name}({','.join(params)})"
+
+
+def spec_modes(spec: StateSpec) -> int:
+    if isinstance(spec, GaussianCustom):
+        return len(spec.mean) // 2
+    if isinstance(spec, FockCustom):
+        return spec.modes
+    return FAMILIES[_family_of(spec)].modes
+
+
 def state_from_spec(spec: StateSpec, cutoff: int | None = None):
     """Materialize a spec as FockState or GaussianState."""
-    if isinstance(spec, Fock):
-        return fock_state(spec.n, cutoff)
-    if isinstance(spec, Noon):
-        return noon_state(spec.N, spec.phi, cutoff)
-    if isinstance(spec, Tmsv):
-        return tmsv_state(spec.r, cutoff)
-    if isinstance(spec, Spssv):
-        return spssv_state(spec.r, spec.parity, cutoff)
-    if isinstance(spec, MixedFock01):
-        return mixed_fock01(spec.lam, cutoff if cutoff is not None else 1)
     if isinstance(spec, GaussianCustom):
         return GaussianState(np.asarray(spec.mean), np.asarray(spec.covariance))
     if isinstance(spec, FockCustom):
         return FockState(np.asarray(spec.matrix, dtype=complex), spec.modes)
-    raise InvalidArgumentError(f"unknown state spec {spec!r}")
+    build = FAMILIES[_family_of(spec)].build
+    return build(*(getattr(spec, f.name) for f in fields(spec)), cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Wigner function evaluators, marginals, and Weyl symbols.
 
 Every evaluator is wrapped in a WignerField carrying its Gaussian decay
-envelope and (when known) the polynomial degree of W * exp(+envelope), which
-is what makes the Gauss-Hermite moment path exact. The catalog closed forms
+envelope and the polynomial degree of W * exp(+envelope), which is what
+makes the Gauss-Hermite moment path exact. The catalog closed forms
 were derived from the kets in the x = (a + a^dag)/sqrt(2) convention with
 transform normalization 1/(2 pi)^k, so the vacuum is W = (1/pi) e^{-x^2-p^2}.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -71,16 +70,16 @@ class WignerField:
 
     evaluate maps an (n, 2 * modes) array of phase-space points (ordered
     x_1..x_k, p_1..p_k) to n real values. polynomial_degree is the total
-    degree of W * exp(+(z - c)^T Q (z - c)) when that product is polynomial,
-    else None. separable marks a two-mode field built from per-mode factors
-    (NOON, Fock synthesis): its evaluate also accepts a ModeGrid and returns
-    the (n1, n2) block of values, and its envelope never couples the modes.
+    degree of the polynomial W * exp(+(z - c)^T Q (z - c)). separable marks
+    a two-mode field built from per-mode factors (NOON, Fock synthesis): its
+    evaluate also accepts a ModeGrid and returns the (n1, n2) block of
+    values, and its envelope never couples the modes.
     """
 
     modes: int
     evaluate: callable
     envelope: GaussianEnvelope
-    polynomial_degree: int | None
+    polynomial_degree: int
     label: str = ""
     separable: bool = False
 
@@ -108,29 +107,30 @@ def _require_real(values, what: str) -> np.ndarray:
 # catalog closed forms
 
 
-def _fock_field(n: int) -> WignerField:
+def _fock_field(spec: Fock) -> WignerField:
     def evaluate(z):
         u = z[:, 0] ** 2 + z[:, 1] ** 2
-        return ((-1.0) ** n / math.pi) * np.exp(-u) * eval_laguerre(n, 2.0 * u)
+        return ((-1.0) ** spec.n / math.pi) * np.exp(-u) * eval_laguerre(spec.n, 2.0 * u)
 
     return WignerField(
         modes=1,
         evaluate=evaluate,
         envelope=GaussianEnvelope(np.eye(2), np.zeros(2)),
-        polynomial_degree=2 * n,
-        label=f"fock(n={n})",
+        polynomial_degree=2 * spec.n,
+        label=spec_label(spec),
     )
 
 
-def _noon_field(N: int, phi: float) -> WignerField:
+def _noon_field(spec: Noon) -> WignerField:
     # rho = (|N0> + e^{i phi}|0N>)(h.c.)/2 expanded into kernel products:
     # diagonal parts are Fock x vacuum Wigner products, the cross term is
     # (2^N / pi^2 N!) e^{-u1-u2} Re[e^{-i phi} (x1-ip1)^N (x2+ip2)^N].
     # W is the sum over k of f1[k](x1, p1) f2[k](x2, p2), with the complex
     # cross term split into its real and imaginary products.
+    N = spec.N
     diag_scale = (-1.0) ** N / (2.0 * math.pi**2)
     cross_scale = 2.0**N / (math.pi**2 * math.gamma(N + 1))
-    cross_phase = cross_scale * np.exp(-1j * phi)
+    cross_phase = cross_scale * np.exp(-1j * spec.phi)
 
     def factors(x, p, sign, phase):
         u = x * x + p * p
@@ -156,7 +156,7 @@ def _noon_field(N: int, phi: float) -> WignerField:
         evaluate=evaluate,
         envelope=GaussianEnvelope(np.eye(4), np.zeros(4)),
         polynomial_degree=2 * N,
-        label=f"noon(N={N},phi={float(phi)!r})",
+        label=spec_label(spec),
         separable=True,
     )
 
@@ -173,9 +173,9 @@ def _squeezed_pair_envelope(r: float) -> GaussianEnvelope:
     return GaussianEnvelope(form, np.zeros(4))
 
 
-def _tmsv_field(r: float) -> WignerField:
-    c = math.cosh(2.0 * r)
-    s = math.sinh(2.0 * r)
+def _tmsv_field(spec: Tmsv) -> WignerField:
+    c = math.cosh(2.0 * spec.r)
+    s = math.sinh(2.0 * spec.r)
 
     def evaluate(z):
         x1, x2, p1, p2 = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
@@ -187,18 +187,18 @@ def _tmsv_field(r: float) -> WignerField:
     return WignerField(
         modes=2,
         evaluate=evaluate,
-        envelope=_squeezed_pair_envelope(r),
+        envelope=_squeezed_pair_envelope(spec.r),
         polynomial_degree=0,
-        label=f"tmsv(r={float(r)!r})",
+        label=spec_label(spec),
     )
 
 
-def _spssv_field(r: float, parity: int) -> WignerField:
-    c = math.cosh(2.0 * r)
-    s = math.sinh(2.0 * r)
+def _spssv_field(spec: Spssv) -> WignerField:
+    c = math.cosh(2.0 * spec.r)
+    s = math.sinh(2.0 * spec.r)
     # parity 1: difference-quadrature polynomial; parity 0: sum-quadrature.
-    comb = -1.0 if parity == 1 else 1.0
-    poly_sign = s if parity == 1 else -s
+    comb = -1.0 if spec.parity == 1 else 1.0
+    poly_sign = s if spec.parity == 1 else -s
 
     def evaluate(z):
         x1, x2, p1, p2 = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
@@ -213,15 +213,15 @@ def _spssv_field(r: float, parity: int) -> WignerField:
     return WignerField(
         modes=2,
         evaluate=evaluate,
-        envelope=_squeezed_pair_envelope(r),
+        envelope=_squeezed_pair_envelope(spec.r),
         polynomial_degree=2,
-        label=f"spssv(r={float(r)!r},parity={parity})",
+        label=spec_label(spec),
     )
 
 
-def _mixed01_field(lam: float) -> WignerField:
-    a = 2.0 * lam - 1.0
-    b = 2.0 * (1.0 - lam)
+def _mixed01_field(spec: MixedFock01) -> WignerField:
+    a = 2.0 * spec.lam - 1.0
+    b = 2.0 * (1.0 - spec.lam)
 
     def evaluate(z):
         u = z[:, 0] ** 2 + z[:, 1] ** 2
@@ -232,31 +232,31 @@ def _mixed01_field(lam: float) -> WignerField:
         evaluate=evaluate,
         envelope=GaussianEnvelope(np.eye(2), np.zeros(2)),
         polynomial_degree=2,
-        label=f"mixed01(lam={float(lam)!r})",
+        label=spec_label(spec),
     )
 
 
-def wigner_analytic(spec: StateSpec) -> WignerField:
-    """Closed-form Wigner function for a state spec.
+# custom specs go to the Gaussian/synthesis evaluators: total over StateSpec
+_CLOSED_FORMS = {
+    Fock: _fock_field,
+    Noon: _noon_field,
+    Tmsv: _tmsv_field,
+    Spssv: _spssv_field,
+    MixedFock01: _mixed01_field,
+    GaussianCustom: lambda spec: wigner_gaussian(state_from_spec(spec)),
+    FockCustom: lambda spec: wigner_fock_synthesis(
+        state_from_spec(spec), label=spec_label(spec)
+    ),
+}
 
-    Custom specs are routed to the Gaussian/synthesis evaluators so the
-    function is total over StateSpec.
-    """
-    if isinstance(spec, Fock):
-        return _fock_field(spec.n)
-    if isinstance(spec, Noon):
-        return _noon_field(spec.N, spec.phi)
-    if isinstance(spec, Tmsv):
-        return _tmsv_field(spec.r)
-    if isinstance(spec, Spssv):
-        return _spssv_field(spec.r, spec.parity)
-    if isinstance(spec, MixedFock01):
-        return _mixed01_field(spec.lam)
-    if isinstance(spec, GaussianCustom):
-        return wigner_gaussian(state_from_spec(spec))
-    if isinstance(spec, FockCustom):
-        return wigner_fock_synthesis(state_from_spec(spec), label=spec_label(spec))
-    raise InvalidArgumentError(f"unknown state spec {spec!r}")
+
+def wigner_analytic(spec: StateSpec) -> WignerField:
+    """Closed-form Wigner function for a state spec."""
+    try:
+        build = _CLOSED_FORMS[type(spec)]
+    except KeyError:
+        raise InvalidArgumentError(f"unknown state spec {spec!r}") from None
+    return build(spec)
 
 
 def wigner_gaussian(state: GaussianState) -> WignerField:
@@ -447,8 +447,7 @@ def _marginal(field: WignerField, axis: int, values, order: int | None) -> np.nd
     q_rr = form[np.ix_(rest, rest)]
     q_rf = form[rest, axis]
     if order is None:
-        deg = field.polynomial_degree if field.polynomial_degree is not None else 60
-        order = max(8, deg // 2 + 4)
+        order = max(8, field.polynomial_degree // 2 + 4)
     values = np.atleast_1d(np.asarray(values, dtype=float))
     # The reduced form q_rr is the same for every section; only the envelope
     # center slides with the fixed coordinate (completing the square in that
@@ -504,11 +503,6 @@ def marginal_p(field: WignerField, mode: int, p, order: int | None = None):
 # Weyl symbols
 
 
-@lru_cache(maxsize=64)
-def _plain_hermgauss(order: int):
-    return np.polynomial.hermite.hermgauss(order)
-
-
 def weyl_symbol(A, x, p, order: int | None = None):
     """Weyl symbol of a truncated operator at phase-space points.
 
@@ -530,7 +524,7 @@ def weyl_symbol(A, x, p, order: int | None = None):
     d = A.shape[0]
     if order is None:
         order = d + 6
-    t, w = _plain_hermgauss(order)
+    t, w = np.polynomial.hermite.hermgauss(order)
     x = np.asarray(x, dtype=float).ravel()
     p = np.asarray(p, dtype=float).ravel()
     zp = x[:, None] + t[None, :] - 1j * p[:, None]
@@ -568,8 +562,7 @@ def expectation_phase_space(field: WignerField, A, order: int | None = None) -> 
         d = A.shape[0]
         env = field.envelope.combine(GaussianEnvelope(np.eye(2), np.zeros(2)))
         if order is None:
-            deg_w = field.polynomial_degree if field.polynomial_degree is not None else 60
-            order = max(8, (deg_w + 2 * (d - 1)) // 2 + 3)
+            order = max(8, (field.polynomial_degree + 2 * (d - 1)) // 2 + 3)
 
         def integrand(z):
             return field.evaluate(z) * _symbol_factor_real(A, z[:, 0], z[:, 1])
@@ -595,9 +588,8 @@ def expectation_phase_space(field: WignerField, A, order: int | None = None) -> 
                 "the modes; use a Fock-synthesis field"
             )
         if order is None:
-            deg_w = field.polynomial_degree if field.polynomial_degree is not None else 60
             deg_a = 2 * (a1.shape[0] - 1) + 2 * (a2.shape[0] - 1)
-            order = max(8, (deg_w + deg_a) // 2 + 3)
+            order = max(8, (field.polynomial_degree + deg_a) // 2 + 3)
 
         def integrand(grid):
             # the uncoupled envelope puts the rule on per-mode node sets

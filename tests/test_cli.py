@@ -64,11 +64,45 @@ def test_analyze_missing_parameter(capsys):
     assert "--n" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--state", "fock"], "--n"),
+        (["--state", "noon", "--phi", "0.5"], "--N"),
+        (["--state", "tmsv"], "--r"),
+        (["--state", "spssv", "--parity", "0"], "--r"),
+        (["--state", "mixed01", "--n", "1"], "--lam"),
+    ],
+)
+def test_analyze_required_flag_messages(capsys, argv, flag):
+    code, out, err = run(capsys, ["analyze", *argv])
+    assert code == 2 and out == ""
+    assert err == f"error (invalid-argument): --state {argv[1]} requires {flag}\n"
+
+
+def test_analyze_optional_flags_reach_the_spec(capsys):
+    _, out, _ = run(capsys, ["analyze", "--state", "noon", "--N", "1", "--phi", "0.5"])
+    assert moments.read_report(out).state == "noon(N=1,phi=0.5)"
+    _, out, _ = run(capsys, ["analyze", "--state", "spssv", "--r", "0.5", "--parity", "0"])
+    assert moments.read_report(out).state == "spssv(r=0.5,parity=0)"
+
+
 def test_analyze_numerical_precondition_exit_code(capsys):
     # extreme squeezing makes the envelope numerically singular
     code, _, err = run(capsys, ["analyze", "--state", "tmsv", "--r", "9.5"])
     assert code == 3
     assert err.startswith("error (degenerate-covariance):")
+
+
+@pytest.mark.parametrize("state", ["tmsv", "spssv"])
+def test_analyze_saturated_squeezing_with_cutoff_exit_code(capsys, state):
+    # tanh(20) rounds to 1: no cutoff holds the state, a precondition failure
+    code, out, err = run(
+        capsys, ["analyze", "--state", state, "--r", "20", "--cutoff", "5"]
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error (cutoff-too-small):")
 
 
 def test_analyze_out_file(tmp_path, capsys):
@@ -216,6 +250,34 @@ def test_selftest_small_run(capsys):
     assert sum(1 for line in lines if line.startswith("gaussian-k1-")) == 6
     assert sum(1 for line in lines if line.startswith("gaussian-k2-")) == 2
     assert sum(1 for line in lines if line.startswith("coherent-mixture-")) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure", "mixed-sweep", "--steps", "-1"],
+        ["figure", "mixed-sweep", "--steps", "0"],
+        ["selftest", "--count", "-5"],
+        ["selftest", "--count", "0"],
+    ],
+)
+def test_count_flags_below_one_exit_code(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error (invalid-argument): {argv[-2]} must be >= 1, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize(
+    "body, argv", [("steps=-1\n", ["figure", "mixed-sweep"]), ("count=0\n", ["selftest"])]
+)
+def test_count_flags_below_one_from_config(tmp_path, capsys, body, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(body)
+    code, out, err = run(capsys, ["--config", str(cfg), *argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error (invalid-argument):")
 
 
 # ---------------------------------------------------------------------------

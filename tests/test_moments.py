@@ -280,6 +280,46 @@ def test_sweep_unknown_family():
         moments.sweep("thermal", [0.1])
 
 
+def test_field_for_builds_states_through_its_own_binding(monkeypatch):
+    # per-layer tracing wraps moments.state_from_spec: every state that
+    # field_for materializes must pass through that name
+    calls = []
+    real = moments.state_from_spec
+    monkeypatch.setattr(
+        moments, "state_from_spec", lambda *args: calls.append(args) or real(*args)
+    )
+    built = [
+        (states.GaussianCustom.from_arrays(np.zeros(2), np.eye(2) / 2), None),
+        (states.FockCustom.from_matrix(np.diag([0.5, 0.5])), None),
+        (states.FockCustom.from_matrix(np.diag([0.5, 0.5])), 3),
+        (states.Fock(1), 2),
+        (states.Noon(1), 1),
+    ]
+    for spec, cutoff in built:
+        moments.field_for(spec, cutoff)
+    assert len(calls) == len(built)
+    moments.field_for(states.Fock(1), None)  # closed form: nothing to build
+    moments.field_for(states.Tmsv(0.5), None)
+    assert len(calls) == len(built)
+
+
+def test_sweep_families_follow_family_table():
+    assert moments.SWEEP_FAMILIES == tuple(states.FAMILIES)
+    # the value fills the family's first field, cast to its declared type
+    labels = {
+        "fock": (2.0, "fock(n=2)"),
+        "noon": (np.int64(1), "noon(N=1,phi=3.141592653589793)"),
+        "tmsv": (1, "tmsv(r=1.0)"),
+        "spssv": (0.5, "spssv(r=0.5,parity=1)"),
+        "mixed01": (0, "mixed01(lam=0.0)"),
+    }
+    assert set(labels) == set(states.FAMILIES)
+    for family, (value, label) in labels.items():
+        [(param, report)] = moments.sweep(family, [value])
+        assert param is value
+        assert report.state == label
+
+
 # ---------------------------------------------------------------------------
 # Hoelder diagnostics
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wignermoments import states
+from wignermoments import cli, moments, states, wigner
 from wignermoments.errors import (
     CutoffTooSmallError,
     DegenerateCovarianceError,
@@ -82,6 +82,23 @@ def test_tmsv_min_cutoff_monotone():
         states.tmsv_state(1.0, cutoff=2)
 
 
+@pytest.mark.parametrize(
+    "min_cutoff, build",
+    [
+        (states.tmsv_min_cutoff, lambda r: states.tmsv_state(r, cutoff=5)),
+        (states.spssv_min_cutoff, lambda r: states.spssv_state(r, cutoff=5)),
+    ],
+)
+def test_min_cutoff_rejects_saturated_squeezing(min_cutoff, build):
+    # tanh(20) rounds to 1, so the tail lam^{2(c+1)} never shrinks
+    assert math.tanh(20.0) == 1.0
+    with pytest.raises(CutoffTooSmallError, match="no finite cutoff"):
+        min_cutoff(20.0)
+    with pytest.raises(CutoffTooSmallError):
+        build(20.0)
+    assert min_cutoff(3.0) > 5  # tanh(3) < 1 still has a finite answer
+
+
 def test_tmsv_gaussian_covariance():
     st = states.tmsv_gaussian(0.5)
     c, s = math.cosh(1.0), math.sinh(1.0)
@@ -108,6 +125,8 @@ def test_spssv_antisymmetric_for_odd_parity():
 def test_mixed_fock01_matrix():
     st = states.mixed_fock01(0.3)
     assert np.allclose(st.matrix, np.diag([0.3, 0.7]), atol=1e-15)
+    assert states.mixed_fock01(0.3, cutoff=None).cutoff == 1
+    assert states.mixed_fock01(0.3, cutoff=3).cutoff == 3
     with pytest.raises(InvalidArgumentError):
         states.MixedFock01(1.2)
 
@@ -174,13 +193,81 @@ def test_from_mixture():
 def test_spec_labels_round_trip():
     cases = [
         (states.Fock(2), "fock(n=2)"),
+        (states.Fock(np.int64(4)), "fock(n=4)"),
+        (states.Noon(3), "noon(N=3,phi=3.141592653589793)"),
+        (states.Noon(1, 0), "noon(N=1,phi=0.0)"),
         (states.Tmsv(0.5), "tmsv(r=0.5)"),
+        (states.Tmsv(1), "tmsv(r=1.0)"),
+        (states.Spssv(0.25, 0), "spssv(r=0.25,parity=0)"),
         (states.MixedFock01(0.3), "mixed01(lam=0.3)"),
+        (states.MixedFock01(1), "mixed01(lam=1.0)"),
+        (states.GaussianCustom.from_arrays(np.zeros(4), np.eye(4) / 2), "gaussian(k=2)"),
+        (states.FockCustom.from_matrix(np.diag([0.5, 0.5])), "fock_custom(k=1,side=2)"),
     ]
     for spec, label in cases:
         assert states.spec_label(spec) == label
     assert states.spec_modes(states.Noon(3)) == 2
     assert states.spec_modes(states.Fock(1)) == 1
+    assert states.spec_modes(states.GaussianCustom.from_arrays(np.zeros(4), np.eye(4) / 2)) == 2
+    custom = states.FockCustom.from_matrix(np.diag([0.5, 0.2, 0.2, 0.1]), modes=2)
+    assert states.spec_modes(custom) == 2
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+# one spec per family, with a cutoff that its synthesis path accepts
+FAMILY_SPECS = {
+    "fock": (states.Fock(2), 3),
+    "noon": (states.Noon(2, 0.5), 2),
+    "tmsv": (states.Tmsv(0.1), 3),
+    "spssv": (states.Spssv(0.05, 0), 4),
+    "mixed01": (states.MixedFock01(0.3), 2),
+}
+
+
+def test_state_choices_follow_family_table():
+    assert cli.STATE_CHOICES == ("vacuum", *states.FAMILIES)
+    assert set(FAMILY_SPECS) == set(states.FAMILIES)
+
+
+@pytest.mark.parametrize("name", list(FAMILY_SPECS))
+def test_family_table_agrees_with_fields_and_states(name):
+    spec, cutoff = FAMILY_SPECS[name]
+    family = states.FAMILIES[name]
+    assert type(spec) is family.spec
+    label = states.spec_label(spec)
+    assert label.startswith(f"{name}(")
+    analytic = wigner.wigner_analytic(spec)
+    synth, used = moments.field_for(spec, cutoff)
+    built = states.state_from_spec(spec, cutoff)
+    assert analytic.label == label
+    assert synth.label == label
+    modes = states.spec_modes(spec)
+    assert modes == family.modes
+    assert analytic.modes == modes
+    assert synth.modes == modes
+    assert built.modes == modes
+    # the cutoff selected the synthesis field of the built state
+    assert used == built.cutoff == cutoff
+    assert synth.polynomial_degree == 2 * cutoff * modes
+    assert moments.field_for(spec, None)[1] is None
+
+
+@pytest.mark.parametrize("bad", [object(), None, "fock", 3, states.fock_state(1)])
+def test_non_spec_rejected_by_every_dispatcher(bad):
+    calls = [
+        states.spec_label,
+        states.spec_modes,
+        states.state_from_spec,
+        lambda s: states.state_from_spec(s, 2),
+        wigner.wigner_analytic,
+        lambda s: moments.field_for(s, None),
+        lambda s: moments.field_for(s, 2),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgumentError):
+            call(bad)
 
 
 def test_state_from_spec_dispatch():
