@@ -18,13 +18,12 @@ import math
 from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
-from scipy.integrate import quad as scipy_quad
 
 from .errors import InvalidArgumentError, UnsupportedOperationError
 from .quadrature import (
-    GaussianEnvelope,
     QuadratureSpec,
     gauss_hermite_integral,
+    radial_integral,
     uniform_grid_integral,
 )
 from .states import (
@@ -74,10 +73,9 @@ def moment(field: WignerField, m: int, quad: QuadratureSpec | None = None) -> fl
     if quad is None:
         quad = QuadratureSpec(order=exactness_order(field, m))
     if quad.scheme == "gauss_hermite_tensor":
-        env = GaussianEnvelope(field.envelope.form * m, field.envelope.center)
         return gauss_hermite_integral(
             lambda z: field.evaluate(z) ** m,
-            env,
+            field.envelope.scaled(m),
             quad.order,
             envelope_scale=quad.envelope_scale,
             separable=field.separable,
@@ -90,28 +88,15 @@ def moment(field: WignerField, m: int, quad: QuadratureSpec | None = None) -> fl
             lambda z: field.evaluate(z) ** m, 2 * field.modes, half, quad.order
         )
     if quad.scheme == "adaptive_radial":
-        return _adaptive_radial_moment(field, m, quad)
+        if field.modes != 1:
+            raise UnsupportedOperationError("adaptive_radial supports single-mode fields")
+        return radial_integral(
+            lambda z: field.evaluate(z) ** m,
+            field.envelope.scaled(m),
+            max(16, quad.order),
+            quad.half_width,
+        )
     raise InvalidArgumentError(f"unknown scheme {quad.scheme!r}")
-
-
-def _adaptive_radial_moment(field: WignerField, m: int, quad: QuadratureSpec) -> float:
-    """Radius-adaptive rule for single-mode fields (angles by trapezoid)."""
-    if field.modes != 1:
-        raise UnsupportedOperationError("adaptive_radial supports single-mode fields")
-    n_theta = max(16, quad.order)
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    lam_min = float(np.linalg.eigvalsh(field.envelope.form)[0])
-    r_max = quad.half_width or (
-        float(np.max(np.abs(field.envelope.center))) + math.sqrt(60.0 / (m * lam_min))
-    )
-
-    def ring(r):
-        pts = np.stack([r * cos_t, r * sin_t], axis=1)
-        return r * float(np.mean(field.evaluate(pts) ** m)) * 2.0 * math.pi
-
-    val, _ = scipy_quad(ring, 0.0, r_max, epsabs=1e-13, epsrel=1e-11, limit=200)
-    return val
 
 
 def moment_gaussian_closed_form(state: GaussianState, m: int) -> float:
@@ -328,26 +313,24 @@ def holder_chain_check(
     """
     if method not in ("auto", "gauss_hermite", "radial"):
         raise InvalidArgumentError(f"unknown holder method {method!r}")
-    ps = (1.0, 1.5, 2.0, 3.0)
-    if method == "radial":
-        if field.modes != 1:
-            raise UnsupportedOperationError("radial norms support single-mode fields")
-        norms = {p: _holder_norm_radial(field, p) for p in ps}
-    else:
-        if quad is None:
-            smooth = field.polynomial_degree == 0
-            order = 12 if smooth else (96 if field.modes == 1 else 24)
-            quad = QuadratureSpec(order=order)
-        norms = {}
-        for p in ps:
-            env = GaussianEnvelope(field.envelope.form * p, field.envelope.center)
+    if method == "radial" and field.modes != 1:
+        raise UnsupportedOperationError("radial norms support single-mode fields")
+    if quad is None:
+        smooth = field.polynomial_degree == 0
+        quad = QuadratureSpec(order=12 if smooth else (96 if field.modes == 1 else 24))
+    norms = {}
+    for p in (1.0, 1.5, 2.0, 3.0):
+        integrand = lambda z, _p=p: np.abs(field.evaluate(z)) ** _p
+        if method == "radial":
+            val = radial_integral(integrand, field.envelope.scaled(p), 256)
+        else:
             val = gauss_hermite_integral(
-                lambda z, _p=p: np.abs(field.evaluate(z)) ** _p,
-                env,
+                integrand,
+                field.envelope.scaled(p),
                 quad.order,
                 envelope_scale=quad.envelope_scale,
             )
-            norms[p] = val ** (1.0 / p)
+        norms[p] = val ** (1.0 / p)
     slack = 1e-9
     return {
         "norm_1": norms[1.0],
@@ -359,18 +342,3 @@ def holder_chain_check(
         <= norms[2.0] ** (2.0 / 3.0) * norms[1.0] ** (1.0 / 3.0) * (1.0 + 1e-8) + slack,
     }
 
-
-def _holder_norm_radial(field: WignerField, p: float, n_theta: int = 256) -> float:
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    lam_min = float(np.linalg.eigvalsh(field.envelope.form)[0])
-    r_max = float(np.max(np.abs(field.envelope.center))) + math.sqrt(
-        60.0 / (p * lam_min)
-    )
-
-    def ring(r):
-        pts = np.stack([r * cos_t, r * sin_t], axis=1)
-        return r * float(np.mean(np.abs(field.evaluate(pts)) ** p)) * 2.0 * math.pi
-
-    val, _ = scipy_quad(ring, 0.0, r_max, epsabs=1e-13, epsrel=1e-11, limit=300)
-    return val ** (1.0 / p)

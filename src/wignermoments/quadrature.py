@@ -21,13 +21,19 @@ across chunk partials.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import DegenerateCovarianceError, InvalidArgumentError, SizeLimitError
+from .errors import (
+    DegenerateCovarianceError,
+    InvalidArgumentError,
+    SizeLimitError,
+    TruncationWarning,
+)
 
 __all__ = [
     "GaussianEnvelope",
@@ -37,6 +43,7 @@ __all__ = [
     "SCHEMES",
     "gauss_hermite_integral",
     "hermgauss_cached",
+    "radial_integral",
     "uniform_grid_integral",
 ]
 
@@ -49,6 +56,12 @@ BLOCK_NODES = 262_144
 
 # Axes of each mode in the (x_1, x_2, p_1, p_2) point layout.
 MODE_AXES = ((0, 2), (1, 3))
+
+# Adaptive radial rule: nodes per panel, QUADPACK's tolerances, panel cap.
+RADIAL_NODES = 21
+RADIAL_EPSABS = 1e-13
+RADIAL_EPSREL = 1e-11
+RADIAL_MAX_PANELS = 300
 
 
 @dataclass(frozen=True)
@@ -149,7 +162,8 @@ class QuadratureSpec:
     """How to integrate: scheme, per-axis order, and envelope tweaks.
 
     envelope_scale widens (scale > 1) the Gaussian weight relative to the
-    field's declared envelope; half_width is only used by uniform_grid.
+    field's declared envelope. half_width is the box of uniform_grid and the
+    outer radius of adaptive_radial; the Gauss-Hermite rule ignores it.
     """
 
     scheme: str = "gauss_hermite_tensor"
@@ -244,6 +258,11 @@ def _cholesky(form: np.ndarray) -> np.ndarray:
         ) from exc
 
 
+def _substitute(chol: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Offsets z - c = L^{-T} t for rows t of Gauss-Hermite nodes."""
+    return solve_triangular(chol, t.T, lower=True, trans="T").T
+
+
 def _mode_rule(center: np.ndarray, chol: np.ndarray, order: int, axes):
     """One mode's order^2-node rule: node coordinates x, p and weights.
 
@@ -286,8 +305,7 @@ def gauss_hermite_integral(
     jac = 1.0 / float(np.prod(np.diag(chol)))
     partials = []
     for t_block, w_block in _axis_blocks(order, dims):
-        # z = center + L^{-T} t
-        z = envelope.center + solve_triangular(chol, t_block.T, lower=True, trans="T").T
+        z = envelope.center + _substitute(chol, t_block)
         partials.append(float(np.sum(w_block * np.asarray(f(z), dtype=float))))
     return jac * math.fsum(partials)
 
@@ -345,3 +363,52 @@ def uniform_grid_integral(
         block[:, lead_dims:] = tail_z
         partials.append(float(np.sum(np.asarray(f(block), dtype=float))))
     return h**dims * math.fsum(partials)
+
+
+def radial_integral(
+    f, envelope: GaussianEnvelope, n_theta: int, r_max: float | None = None
+) -> float:
+    """integral f(z) dz over the (x, p) plane, in polar coordinates.
+
+    f maps (n, 2) points to n values and decays like the envelope. The disk
+    ends at r_max, by default where the envelope falls to e^-60 (blind to a
+    polynomial factor's growth). Angles run on an n_theta trapezoid, the
+    radius on Gauss-Legendre panels: the panel whose halves differ most from
+    its whole (scaled as in QUADPACK against its integral of |f|) is bisected
+    until the total meets the tolerances, or warns at RADIAL_MAX_PANELS.
+    """
+    if r_max is None:
+        lam_min = float(np.linalg.eigvalsh(envelope.form)[0])
+        r_max = float(np.max(np.abs(envelope.center))) + math.sqrt(60.0 / lam_min)
+    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    ring = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    t, w = np.polynomial.legendre.leggauss(RADIAL_NODES)
+
+    def rule(a, b):  # integrals of f and |f| over the annulus a <= |z| <= b
+        r = a + 0.5 * (b - a) * (t + 1.0)
+        vals = np.asarray(f((r[:, None, None] * ring).reshape(-1, 2)), dtype=float)
+        vals = vals.reshape(r.size, -1)
+        wr = math.pi * (b - a) * w * r  # r dr, and 2 pi times the ring mean
+        return wr @ vals.mean(axis=1), wr @ np.abs(vals).mean(axis=1)
+
+    def panel(a, b, whole):
+        mid = 0.5 * (a + b)
+        (left, left_abs), (right, right_abs) = rule(a, mid), rule(mid, b)
+        error, scale = abs(left + right - whole), left_abs + right_abs
+        if scale:  # QUADPACK's scaling: a slowly converging panel is trusted less
+            error = max(error, scale * min(1.0, (200.0 * error / scale) ** 1.5))
+        return error, a, b, left, right
+
+    panels = [panel(0.0, r_max, rule(0.0, r_max)[0])]
+    while True:
+        value = math.fsum(p[3] + p[4] for p in panels)
+        error = math.fsum(p[0] for p in panels)
+        if error <= max(RADIAL_EPSABS, RADIAL_EPSREL * abs(value)):
+            return value
+        if len(panels) >= RADIAL_MAX_PANELS:
+            msg = f"radial rule stopped at {len(panels)} panels, error {error:.2e}"
+            warnings.warn(msg, TruncationWarning, stacklevel=2)
+            return value
+        _, a, b, left, right = panels.pop(panels.index(max(panels)))
+        mid = 0.5 * (a + b)
+        panels += [panel(a, mid, left), panel(mid, b, right)]

@@ -63,6 +63,11 @@ TRUNCATION_TAIL = 1e-8
 # catalog constructors never get near it.
 EIG_CHECK_MAX_SIDE = 2048
 
+# Largest side of a density matrix assembled from a ket (4096: 268 MB of
+# complex entries). tmsv_state(1.0) has side 1,156 and spssv_state(1.0)
+# 1,681; tmsv_state(3.0) would need 3,452,164.
+MAX_DENSE_SIDE = 4096
+
 
 # ---------------------------------------------------------------------------
 # state specifications (tagged union)
@@ -213,6 +218,10 @@ class FockState:
     @classmethod
     def from_ket(cls, ket, modes: int = 1) -> "FockState":
         ket = np.asarray(ket, dtype=complex).ravel()
+        if ket.size > MAX_DENSE_SIDE:
+            raise SizeLimitError(
+                f"density matrix of side {ket.size} exceeds cap {MAX_DENSE_SIDE}"
+            )
         nrm = np.linalg.norm(ket)
         if nrm == 0.0:
             raise InvalidArgumentError("ket has zero norm")
@@ -486,11 +495,20 @@ def spec_modes(spec: StateSpec) -> int:
 
 
 def state_from_spec(spec: StateSpec, cutoff: int | None = None):
-    """Materialize a spec as FockState or GaussianState."""
+    """Materialize a spec as FockState or GaussianState.
+
+    A FockCustom matrix is its own truncation: a cutoff other than its own
+    is refused.
+    """
     if isinstance(spec, GaussianCustom):
         return GaussianState(np.asarray(spec.mean), np.asarray(spec.covariance))
     if isinstance(spec, FockCustom):
-        return FockState(np.asarray(spec.matrix, dtype=complex), spec.modes)
+        state = FockState(np.asarray(spec.matrix, dtype=complex), spec.modes)
+        if cutoff is not None and cutoff != state.cutoff:
+            raise InvalidArgumentError(
+                f"custom matrix has cutoff {state.cutoff}, not {cutoff}"
+            )
+        return state
     build = FAMILIES[_family_of(spec)].build
     return build(*(getattr(spec, f.name) for f in fields(spec)), cutoff)
 

@@ -13,20 +13,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import eval_laguerre
 
-from .errors import (
-    DegenerateCovarianceError,
-    InvalidArgumentError,
-    UnsupportedOperationError,
-)
+from .errors import InvalidArgumentError, UnsupportedOperationError
 from .quadrature import (
     GaussianEnvelope,
     GridSpec,
     ModeGrid,
+    _cholesky,
+    _node_tensor,
+    _substitute,
     gauss_hermite_integral,
-    hermgauss_cached,
 )
 from .states import (
     Fock,
@@ -103,6 +99,25 @@ def _require_real(values, what: str) -> np.ndarray:
     return np.ascontiguousarray(values.real) if np.iscomplexobj(values) else values
 
 
+def _laguerre(alpha: int, x: np.ndarray, count: int):
+    """Yield L_0^(alpha)(x), ..., L_{count-1}^(alpha)(x) (DLMF 18.9.1):
+
+        n L_n = ((2n - 1 + alpha) - x) L_{n-1} - (n - 1 + alpha) L_{n-2}
+
+    in place on three buffers, so a yielded array is overwritten two steps on.
+    """
+    prev, cur, tmp = np.zeros(x.shape), np.ones(x.shape), np.empty(x.shape)
+    for n in range(count):
+        if n:
+            np.subtract(2.0 * n - 1.0 + alpha, x, out=tmp)
+            tmp *= cur
+            prev *= n - 1.0 + alpha
+            tmp -= prev
+            tmp /= n
+            prev, cur, tmp = cur, tmp, prev
+        yield cur
+
+
 # ---------------------------------------------------------------------------
 # catalog closed forms
 
@@ -110,7 +125,8 @@ def _require_real(values, what: str) -> np.ndarray:
 def _fock_field(spec: Fock) -> WignerField:
     def evaluate(z):
         u = z[:, 0] ** 2 + z[:, 1] ** 2
-        return ((-1.0) ** spec.n / math.pi) * np.exp(-u) * eval_laguerre(spec.n, 2.0 * u)
+        *_, lag = _laguerre(0, 2.0 * u, spec.n + 1)
+        return ((-1.0) ** spec.n / math.pi) * np.exp(-u) * lag
 
     return WignerField(
         modes=1,
@@ -135,9 +151,9 @@ def _noon_field(spec: Noon) -> WignerField:
     def factors(x, p, sign, phase):
         u = x * x + p * p
         gauss = np.exp(-u)
-        lag = diag_scale * eval_laguerre(N, 2.0 * u) * gauss
+        *_, lag = _laguerre(0, 2.0 * u, N + 1)
         cross = phase * (x + sign * 1j * p) ** N * gauss
-        return gauss, lag, cross
+        return gauss, diag_scale * lag * gauss, cross
 
     def evaluate(z):
         if isinstance(z, ModeGrid):
@@ -306,15 +322,7 @@ def fock_kernel_values(x, p, dim: int, include_envelope: bool = True) -> np.ndar
     for off in range(dim):
         xipow = xi**off if off else np.ones_like(xi)
         coupling = math.sqrt(2.0**off / math.gamma(off + 1))  # B(0, off)
-        lag_prev = np.zeros(0)
-        lag = np.ones(x.size)
-        for n in range(dim - off):
-            if n == 1:
-                lag_prev, lag = lag, (1.0 + off) - two_u
-            elif n > 1:
-                lag_prev, lag = lag, (
-                    (2.0 * n - 1.0 + off - two_u) * lag - (n - 1.0 + off) * lag_prev
-                ) / n
+        for n, lag in enumerate(_laguerre(off, two_u, dim - off)):
             if n > 0:
                 coupling *= math.sqrt(n / (n + off))
             sign = -1.0 if n % 2 else 1.0
@@ -341,15 +349,7 @@ def _synth_values_one_mode(rho: np.ndarray, z: np.ndarray) -> np.ndarray:
         if off:
             xipow = xipow * xi
         coupling = math.sqrt(2.0**off / math.gamma(off + 1))
-        lag_prev = np.zeros(0)
-        lag = np.ones(x.size)
-        for n in range(dim - off):
-            if n == 1:
-                lag_prev, lag = lag, (1.0 + off) - two_u
-            elif n > 1:
-                lag_prev, lag = lag, (
-                    (2.0 * n - 1.0 + off - two_u) * lag - (n - 1.0 + off) * lag_prev
-                ) / n
+        for n, lag in enumerate(_laguerre(off, two_u, dim - off)):
             if n > 0:
                 coupling *= math.sqrt(n / (n + off))
             coeff = rho[n + off, n]
@@ -439,7 +439,12 @@ def dilate(field: WignerField, c: float) -> WignerField:
     )
 
 
-def _marginal(field: WignerField, axis: int, values, order: int | None) -> np.ndarray:
+def _marginal(field: WignerField, mode: int, coord: int, values, order: int | None):
+    """Marginal of one mode's x (coord 0) or p (coord 1)."""
+    if not (0 <= mode < field.modes):
+        raise InvalidArgumentError(f"mode {mode} out of range for k={field.modes}")
+    scalar = np.ndim(values) == 0
+    axis = coord * field.modes + mode
     dims = 2 * field.modes
     rest = [i for i in range(dims) if i != axis]
     form = field.envelope.form
@@ -453,20 +458,10 @@ def _marginal(field: WignerField, axis: int, values, order: int | None) -> np.nd
     # center slides with the fixed coordinate (completing the square in that
     # coordinate). One factorization serves all sections, so the sections
     # can be evaluated in a few large batches instead of point by point.
-    try:
-        chol = np.linalg.cholesky(q_rr)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateCovarianceError(
-            f"marginal envelope is numerically singular or indefinite: {exc}"
-        ) from exc
+    chol = _cholesky(q_rr)
     jac = 1.0 / float(np.prod(np.diag(chol)))
-    t, wt = hermgauss_cached(order)
-    grids = np.meshgrid(*([t] * len(rest)), indexing="ij")
-    tmesh = np.stack([g.ravel() for g in grids], axis=1)
-    wmesh = np.ones(tmesh.shape[0])
-    for g in np.meshgrid(*([wt] * len(rest)), indexing="ij"):
-        wmesh = wmesh * g.ravel()
-    offsets = solve_triangular(chol, tmesh.T, lower=True, trans="T").T
+    tmesh, wmesh = _node_tensor(order, len(rest))
+    offsets = _substitute(chol, tmesh)
     slope = -np.linalg.solve(q_rr, q_rf)
     out = np.empty(values.size)
     batch = max(1, 500_000 // tmesh.shape[0])
@@ -480,23 +475,17 @@ def _marginal(field: WignerField, axis: int, values, order: int | None) -> np.nd
         z[:, :, axis] = vals[:, None]
         sections = field.evaluate(z.reshape(-1, dims)).reshape(vals.size, -1)
         out[start : start + vals.size] = jac * (sections @ wmesh)
-    return out
+    return float(out[0]) if scalar else out
 
 
 def marginal_x(field: WignerField, mode: int, x, order: int | None = None):
     """Position marginal of one mode: all other coordinates integrated out."""
-    if not (0 <= mode < field.modes):
-        raise InvalidArgumentError(f"mode {mode} out of range for k={field.modes}")
-    res = _marginal(field, mode, x, order)
-    return float(res[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else res
+    return _marginal(field, mode, 0, x, order)
 
 
 def marginal_p(field: WignerField, mode: int, p, order: int | None = None):
     """Momentum marginal of one mode."""
-    if not (0 <= mode < field.modes):
-        raise InvalidArgumentError(f"mode {mode} out of range for k={field.modes}")
-    res = _marginal(field, field.modes + mode, p, order)
-    return float(res[0]) if np.isscalar(p) or np.asarray(p).ndim == 0 else res
+    return _marginal(field, mode, 1, p, order)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,17 @@ def test_analyze_saturated_squeezing_with_cutoff_exit_code(capsys, state):
     assert err.startswith("error (cutoff-too-small):")
 
 
+def test_analyze_dense_matrix_over_cap_exit_code(capsys):
+    # cutoff 1857 holds tmsv(r=3), but its density matrix would have side
+    # 1858^2: refused as a resource limit instead of a numpy allocation error
+    code, out, err = run(
+        capsys, ["analyze", "--state", "tmsv", "--r", "3", "--cutoff", "1857"]
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error (size-limit):")
+
+
 def test_analyze_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run(
@@ -348,6 +359,27 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "Inconclusive"
+
+
+def test_cli_and_library_import_no_scipy_special_or_integrate():
+    src = str(Path(wignermoments.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    names = ("cli", "moments", "multicopy", "oracle", "soundness", "wigner")
+    code = (
+        "import sys\n"
+        + "".join(f"import wignermoments.{name}\n" for name in names)
+        + "print(sorted(m for m in sys.modules"
+        " if m.split('.')[:2] in (['scipy', 'special'], ['scipy', 'integrate'])))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_thread_env_is_applied(monkeypatch, capsys):

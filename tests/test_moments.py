@@ -1,11 +1,16 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from wignermoments import moments, oracle, states, wigner
-from wignermoments.errors import InvalidArgumentError, UnsupportedOperationError
+from wignermoments.errors import (
+    InvalidArgumentError,
+    TruncationWarning,
+    UnsupportedOperationError,
+)
 from wignermoments.quadrature import ModeGrid, QuadratureSpec, hermgauss_cached
 
 PI = math.pi
@@ -157,6 +162,50 @@ def test_alternate_schemes_agree():
     assert radial == pytest.approx(gh, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "spec", [states.Fock(n) for n in range(13)] + [states.MixedFock01(0.3)], ids=str
+)
+def test_adaptive_radial_matches_exact_moments(spec):
+    # half_width is the outer radius: W^m of Fock(12) still reaches past the
+    # default, which only looks at the envelope
+    quad = QuadratureSpec(scheme="adaptive_radial", half_width=10.0)
+    field = field_of(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        for m in (2, 3):
+            want = oracle.radial_closed_form_moment(spec, m)
+            assert moments.moment(field, m, quad) == pytest.approx(want, rel=1e-10, abs=0)
+
+
+def test_adaptive_radial_off_center_correlated_gaussian():
+    spec = states.GaussianCustom.from_arrays([0.7, -0.4], [[0.9, 0.35], [0.35, 0.6]])
+    state = states.state_from_spec(spec)
+    field = wigner.wigner_gaussian(state)
+    # the off-center field is no trigonometric polynomial in the angle: the
+    # trapezoid needs 64 angles (the order) to reach 1e-10
+    quad = QuadratureSpec(scheme="adaptive_radial", order=64)
+    for m in (1, 2, 3):
+        want = moments.moment_gaussian_closed_form(state, m)
+        assert moments.moment(field, m, quad) == pytest.approx(want, rel=1e-10, abs=0)
+
+
+def test_adaptive_radial_warns_at_the_panel_cap():
+    # a square wave of period 1e-7 in the radius never converges
+    def evaluate(z):
+        r = np.hypot(z[:, 0], z[:, 1])
+        return np.where((r * 1e7) % 1.0 < 0.5, 1.0, 0.0) * np.exp(-r * r)
+
+    field = wigner.WignerField(
+        modes=1,
+        evaluate=evaluate,
+        envelope=field_of(states.Fock(0)).envelope,
+        polynomial_degree=0,
+    )
+    with pytest.warns(TruncationWarning, match="panels"):
+        value = moments.moment(field, 1, QuadratureSpec(scheme="adaptive_radial"))
+    assert math.isfinite(value)
+
+
 def test_adaptive_radial_single_mode_only():
     f = field_of(states.Noon(1))
     with pytest.raises(UnsupportedOperationError):
@@ -291,7 +340,7 @@ def test_field_for_builds_states_through_its_own_binding(monkeypatch):
     built = [
         (states.GaussianCustom.from_arrays(np.zeros(2), np.eye(2) / 2), None),
         (states.FockCustom.from_matrix(np.diag([0.5, 0.5])), None),
-        (states.FockCustom.from_matrix(np.diag([0.5, 0.5])), 3),
+        (states.FockCustom.from_matrix(np.diag([0.5, 0.5])), 1),
         (states.Fock(1), 2),
         (states.Noon(1), 1),
     ]
@@ -326,11 +375,12 @@ def test_sweep_families_follow_family_table():
 
 def test_holder_norms_vacuum_exact():
     # |W| = W for the vacuum: ||W||_p^p = (1/pi^p) (pi/p) = pi^{1-p}/p
-    res = moments.holder_chain_check(field_of(states.Fock(0)))
-    for key, p in [("norm_1", 1.0), ("norm_3_2", 1.5), ("norm_2", 2.0), ("norm_3", 3.0)]:
-        expect = (PI ** (1.0 - p) / p) ** (1.0 / p)
-        assert res[key] == pytest.approx(expect, rel=1e-10), key
-    assert res["holder_ok"] and res["interpolation_ok"]
+    for method in ("auto", "radial"):
+        res = moments.holder_chain_check(field_of(states.Fock(0)), method=method)
+        for key, p in [("norm_1", 1.0), ("norm_3_2", 1.5), ("norm_2", 2.0), ("norm_3", 3.0)]:
+            expect = (PI ** (1.0 - p) / p) ** (1.0 / p)
+            assert res[key] == pytest.approx(expect, rel=1e-10, abs=0), (method, key)
+        assert res["holder_ok"] and res["interpolation_ok"]
 
 
 def test_holder_radial_resolves_total_variation():

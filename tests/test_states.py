@@ -156,6 +156,36 @@ def test_fock_state_size_limit():
         states.FockState(np.eye(3000) / 3000, modes=1)
 
 
+def test_from_ket_size_cap(monkeypatch):
+    # tmsv_state(3.0) needs cutoff 1857: a side of 3,452,164, i.e. a 173 TiB
+    # outer product; the cap refuses it before allocating
+    with pytest.raises(SizeLimitError):
+        states.tmsv_state(3.0)
+    with pytest.raises(SizeLimitError):
+        states.FockState.from_ket(np.ones(states.MAX_DENSE_SIDE + 1))
+    monkeypatch.setattr(states, "MAX_DENSE_SIDE", 16)
+    assert states.FockState.from_ket(np.ones(16)).cutoff == 15
+    with pytest.raises(SizeLimitError):
+        states.FockState.from_ket(np.ones(17))
+    monkeypatch.undo()
+    # the largest default-cutoff squeezed pairs of the catalog stay admitted
+    assert states.tmsv_state(1.0).matrix.shape == (1156, 1156)
+    assert states.spssv_state(1.0).matrix.shape == (1681, 1681)
+
+
+def test_fock_custom_refuses_another_cutoff():
+    spec = states.FockCustom.from_matrix(np.diag([0.5, 0.3, 0.2]))
+    assert states.state_from_spec(spec).cutoff == 2
+    assert states.state_from_spec(spec, 2).cutoff == 2
+    for cutoff in (1, 3, 5):
+        with pytest.raises(InvalidArgumentError, match="cutoff 2"):
+            states.state_from_spec(spec, cutoff)
+    pair = states.FockCustom.from_matrix(np.eye(9) / 9, modes=2)
+    assert states.state_from_spec(pair, 2).cutoff == 2
+    with pytest.raises(InvalidArgumentError):
+        states.state_from_spec(pair, 8)
+
+
 def test_gaussian_state_validation():
     states.GaussianState(np.zeros(2), np.eye(2) / 2)
     with pytest.raises(DegenerateCovarianceError):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,7 +90,67 @@ def test_gaussian_field_matches_analytic_tmsv():
 
 
 # ---------------------------------------------------------------------------
-# Fock kernels
+# Laguerre recurrence and Fock kernels
+
+
+def _laguerre_exact(n, alpha, x):
+    # L_n^(alpha)(x) = sum_k (-1)^k C(n + alpha, n - k) x^k / k!
+    return sum(
+        Fraction((-1) ** k * math.comb(n + alpha, n - k), math.factorial(k)) * x**k
+        for k in range(n + 1)
+    )
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+def test_laguerre_recurrence_matches_exact_values(alpha):
+    points = [Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(1), Fraction(5, 2),
+              Fraction(7), Fraction(31, 2), Fraction(60)]
+    x = np.array([float(v) for v in points])
+    scale = [0.0] * len(points)
+    count = 0
+    for n, lag in enumerate(wigner._laguerre(alpha, x, 41)):
+        count += 1
+        for i, v in enumerate(points):
+            want = float(_laguerre_exact(n, alpha, v))
+            # relative to the largest |L_k|, k <= n: a plain relative error is
+            # unbounded at a root (L_1(1) = 0 exactly)
+            scale[i] = max(scale[i], abs(want))
+            assert abs(lag[i] - want) <= 1e-12 * scale[i], (n, alpha, v)
+    assert count == 41
+
+
+def _kernel_reference(x, p, dim):
+    """The kernel loop with its Laguerre recurrence written out."""
+    u = x * x + p * p
+    two_u = 2.0 * u
+    xi = x - 1j * p
+    out = np.empty((x.size, dim, dim), dtype=complex)
+    for off in range(dim):
+        xipow = xi**off if off else np.ones_like(xi)
+        coupling = math.sqrt(2.0**off / math.gamma(off + 1))
+        lag_prev, lag = np.zeros(0), np.ones(x.size)
+        for n in range(dim - off):
+            if n == 1:
+                lag_prev, lag = lag, (1.0 + off) - two_u
+            elif n > 1:
+                lag_prev, lag = lag, (
+                    (2.0 * n - 1.0 + off - two_u) * lag - (n - 1.0 + off) * lag_prev
+                ) / n
+            if n > 0:
+                coupling *= math.sqrt(n / (n + off))
+            vals = ((-1.0 if n % 2 else 1.0) * coupling) * xipow * lag
+            out[:, n + off, n] = vals
+            if off:
+                out[:, n, n + off] = np.conj(vals)
+    return out * (np.exp(-u) / PI)[:, None, None]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 25])
+def test_fock_kernel_values_bit_identical_to_written_out_loop(dim):
+    g = np.linspace(-3.0, 3.0, 13)
+    x, p = (a.ravel() for a in np.meshgrid(g, g, indexing="ij"))
+    got = wigner.fock_kernel_values(x, p, dim)
+    assert np.array_equal(got, _kernel_reference(x, p, dim))
 
 
 def test_fock_kernel_diagonal_reproduces_fock_wigner():
@@ -193,6 +254,20 @@ def test_two_mode_marginal_reduces_to_single_mode():
     assert np.max(np.abs(got - expect)) < 1e-12
     with pytest.raises(InvalidArgumentError):
         wigner.marginal_x(field, 2, xs)
+
+
+def test_marginals_pick_each_modes_quadrature():
+    # uncorrelated Gaussian: the marginal of coordinate i is N(0, var_i)
+    var = [0.5, 0.9, 1.4, 2.2]  # x1, x2, p1, p2
+    field = wigner.wigner_gaussian(states.GaussianState(np.zeros(4), np.diag(var)))
+    xs = np.array([-1.3, 0.0, 0.6])
+    for mode in (0, 1):
+        for marginal, v in ((wigner.marginal_x, var[mode]), (wigner.marginal_p, var[2 + mode])):
+            expect = np.exp(-(xs**2) / (2.0 * v)) / math.sqrt(2.0 * PI * v)
+            assert np.max(np.abs(marginal(field, mode, xs) - expect)) < 1e-13
+            assert marginal(field, mode, 0.6) == pytest.approx(expect[2], rel=1e-13)
+    with pytest.raises(InvalidArgumentError):
+        wigner.marginal_p(field, 2, xs)
 
 
 # ---------------------------------------------------------------------------
