@@ -56,6 +56,8 @@ _CONFIG_TYPES = {
 }
 
 STATE_CHOICES = ("vacuum", "fock", "noon", "tmsv", "spssv", "mixed01")
+# quadrature.SCHEMES, spelled out so that --help imports no numpy
+SCHEME_NAMES = ("gauss_hermite_tensor", "gauss_laguerre_polar", "adaptive_radial", "uniform_grid")
 
 
 def _apply_thread_env() -> None:
@@ -332,8 +334,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="moment report for one state")
     _add_state_flags(p_analyze)
     p_analyze.add_argument("--cutoff", type=int, default=None)
-    p_analyze.add_argument("--scheme", default=None)
-    p_analyze.add_argument("--order", type=int, default=None)
+    p_analyze.add_argument(
+        "--scheme",
+        default=None,
+        help=f"integration rule, one of {', '.join(SCHEME_NAMES)} (default: "
+        "gauss_laguerre_polar for one-mode Fock-basis fields, "
+        "gauss_hermite_tensor for the rest, each at its exact order)",
+    )
+    p_analyze.add_argument(
+        "--order",
+        type=int,
+        default=None,
+        help="nodes per axis (tensor), radial nodes with twice as many angles "
+        "(polar), angles (adaptive_radial) or cells per axis (uniform_grid); "
+        "alone it selects gauss_hermite_tensor",
+    )
     p_analyze.add_argument("--format", choices=("json", "csv"), default="json")
     p_analyze.add_argument("--out", default=None)
     p_analyze.set_defaults(func=cmd_analyze)

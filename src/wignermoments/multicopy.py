@@ -28,6 +28,7 @@ from .errors import (
     TruncationWarning,
     UnsupportedOperationError,
 )
+from .quadrature import laggauss_cached
 from .states import FockState, annihilation_matrix
 from .wigner import fock_kernel_values
 
@@ -205,7 +206,8 @@ def multicopy_observable(
     rule) and exactly 0 elsewhere. With alpha = t/sqrt(2m) and s = |t|^2
     the rest is the radial integral of e^{-s} times a polynomial in s of
     degree <= m*cutoff, taken on the real axis where the kernels are
-    real. alpha_quadrature_order counts the radial Gauss-Laguerre nodes;
+    real. alpha_quadrature_order counts the radial Gauss-Laguerre nodes
+    (quadrature.laggauss_cached, the rule of the polar moment path);
     m*cutoff//2 + 1 of them (the default) make the rule exact, and fewer
     draw a TruncationWarning. The vacuum comes out at
     w_m = 1/(m*pi^{m-1}), and for m=2 the whole matrix is SWAP/(2pi).
@@ -235,7 +237,8 @@ def multicopy_observable(
             TruncationWarning,
             stacklevel=2,
         )
-    nodes, weights = np.polynomial.laguerre.laggauss(order)
+    nodes, scaled_weights = laggauss_cached(order)
+    weights = scaled_weights * np.exp(-nodes)
     # alpha = sqrt(s/(2m)) on the real axis; the kernel wants x = sqrt(2) Re alpha.
     # Pi's entries are the conjugated kernels, which are real there.
     kernels = fock_kernel_values(

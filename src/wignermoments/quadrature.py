@@ -13,6 +13,12 @@ When Q has no entry coupling mode 1 (x_1, p_1) to mode 2 (x_2, p_2), the
 that accepts a ModeGrid is evaluated on per-mode node sets as an (n1, n2)
 block instead of on flattened points.
 
+A one-mode field with an isotropic, centred envelope lam * I has a second,
+smaller exact rule: W^m is e^{-s} times a polynomial in s = m lam |z|^2 and
+a trigonometric polynomial in the angle, so Gauss-Laguerre nodes in s and
+an equispaced trapezoid in the angle integrate it exactly (polar_integral).
+An integrand that accepts a PolarGrid returns its (radii, angles) block.
+
 Summation is deterministic: fixed chunking over the leading axis (mode-1
 rows on the product rule), fixed-order sums inside a chunk, math.fsum
 across chunk partials.
@@ -33,26 +39,50 @@ from .errors import (
     InvalidArgumentError,
     SizeLimitError,
     TruncationWarning,
+    UnsupportedOperationError,
 )
 
 __all__ = [
     "GaussianEnvelope",
     "GridSpec",
     "ModeGrid",
+    "PolarGrid",
     "QuadratureSpec",
     "SCHEMES",
     "gauss_hermite_integral",
     "hermgauss_cached",
+    "laggauss_cached",
+    "outer_radius",
+    "polar_integral",
     "radial_integral",
     "uniform_grid_integral",
 ]
 
-SCHEMES = ("gauss_hermite_tensor", "adaptive_radial", "uniform_grid")
+# gauss_hermite_tensor: per-axis Gauss-Hermite nodes against the envelope,
+#   any mode count; order counts nodes per axis.
+# gauss_laguerre_polar: one-mode fields with an isotropic, centred envelope;
+#   order counts radial Gauss-Laguerre nodes, with twice as many angles.
+# adaptive_radial: one-mode cross-check; order counts trapezoid angles.
+# uniform_grid: midpoint cross-check on a box; order counts cells per axis.
+SCHEMES = ("gauss_hermite_tensor", "gauss_laguerre_polar", "adaptive_radial", "uniform_grid")
 
 # Cap on tensor-product node counts (64 GH points per axis in 4 dims is
 # 16.8M nodes, ~0.5 GB of transient blocks at the default chunking).
 MAX_TENSOR_NODES = 40_000_000
 BLOCK_NODES = 262_144
+
+# Cap on polar nodes (order radii times 2 * order angles): the polar rule
+# evaluates its whole grid in one call, so this bounds its largest block
+# (4M nodes: 32 MB per real array, 64 MB for a complex spectrum).
+MAX_POLAR_NODES = 4_000_000
+
+# Newton steps that polish the Jacobi-matrix eigenvalues into Laguerre roots,
+# and the magnitude at which the recurrence behind them is rescaled.
+LAGUERRE_NEWTON_STEPS = 3
+LAGUERRE_RESCALE = 1e150
+
+# Envelope decay (as a power of e) past the outer radius of the radial rule.
+RADIAL_TAIL_EXPONENT = 60.0
 
 # Axes of each mode in the (x_1, x_2, p_1, p_2) point layout.
 MODE_AXES = ((0, 2), (1, 3))
@@ -87,6 +117,14 @@ class GaussianEnvelope:
     def separates_modes(self) -> bool:
         """True for a two-mode form with no entry between (x1, p1) and (x2, p2)."""
         return self.center.size == 4 and not np.any(self.form[np.ix_(*MODE_AXES)])
+
+    def polar_scale(self) -> float | None:
+        """lam for a one-mode form lam * I centred at 0 (the polar rule's
+        envelope), None for any other envelope."""
+        if self.center.size != 2 or self.center.any():
+            return None
+        (lam, b), (c, d) = self.form.tolist()
+        return lam if lam > 0.0 and d == lam and b == 0.0 == c else None
 
     def combine(self, other: "GaussianEnvelope") -> "GaussianEnvelope":
         """Envelope of a product of two Gaussian-decaying factors.
@@ -140,6 +178,43 @@ class ModeGrid:
 
 
 @dataclass(frozen=True)
+class PolarGrid:
+    """Every pairing of radii r with the equispaced angles 2 pi j / N, j < N.
+
+    Node (i, j) is the phase-space point (r[i] cos theta[j], r[i] sin theta[j]).
+    A one-mode field evaluated on it returns the (len(r), N) block of values.
+    The angles must be equispaced from 0: evaluators take them as one DFT.
+    """
+
+    r: np.ndarray
+    theta: np.ndarray
+
+    # c * grid scales the radii instead of broadcasting over the object
+    __array_ufunc__ = None
+
+    def __post_init__(self):
+        n = self.theta.size
+        if n < 1 or np.max(np.abs(self.theta - 2.0 * math.pi * np.arange(n) / n)) > 1e-12:
+            raise InvalidArgumentError("polar grid angles must be 2 pi j / N for j < N")
+
+    @classmethod
+    def equispaced(cls, r, n_theta: int) -> "PolarGrid":
+        return cls(np.asarray(r, dtype=float), 2.0 * math.pi * np.arange(n_theta) / n_theta)
+
+    @property
+    def shape(self) -> tuple:
+        return (self.r.size, self.theta.size)
+
+    def __len__(self) -> int:
+        return self.r.size * self.theta.size
+
+    def __mul__(self, c) -> "PolarGrid":
+        return PolarGrid(c * self.r, self.theta)
+
+    __rmul__ = __mul__
+
+
+@dataclass(frozen=True)
 class GridSpec:
     """Rectangular phase-space grid: [-L, L] per axis, midpoint cells."""
 
@@ -159,11 +234,17 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate: scheme, per-axis order, and envelope tweaks.
+    """How to integrate: scheme, order, and envelope tweaks.
 
-    envelope_scale widens (scale > 1) the Gaussian weight relative to the
-    field's declared envelope. half_width is the box of uniform_grid and the
-    outer radius of adaptive_radial; the Gauss-Hermite rule ignores it.
+    scheme is one of SCHEMES: gauss_hermite_tensor (order = Gauss-Hermite
+    nodes per axis), gauss_laguerre_polar (one-mode fields with an
+    isotropic, centred envelope; order = radial Gauss-Laguerre nodes, with
+    2 * order angles), adaptive_radial (one mode; order = trapezoid angles)
+    or uniform_grid (order = midpoint cells per axis). envelope_scale widens
+    (scale > 1) the Gauss-Hermite weight relative to the field's declared
+    envelope; the polar rule ignores it. half_width is the box of
+    uniform_grid and the outer radius of adaptive_radial; both Gauss rules
+    ignore it.
     """
 
     scheme: str = "gauss_hermite_tensor"
@@ -193,6 +274,53 @@ def hermgauss_cached(order: int):
     """Physicists' Gauss-Hermite nodes plus weights premultiplied by e^{t^2}."""
     t, w = np.polynomial.hermite.hermgauss(order)
     return t, w * np.exp(t * t)
+
+
+def _laguerre_recurrence(x: np.ndarray, order: int):
+    """L_order(x), L_{order-1}(x) and sum_{k<order} L_k(x)^2, with a common
+    per-node scale: each true value is the returned one times e^{logscale}
+    (e^{2 logscale} for the sum). Rescaling keeps the recurrence finite far
+    past the overflow of L_n near the largest nodes.
+    """
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    sumsq, logscale = np.zeros_like(x), np.zeros_like(x)
+    for n in range(1, order + 1):
+        sumsq += cur * cur
+        prev, cur = cur, ((2.0 * n - 1.0 - x) * cur - (n - 1.0) * prev) / n
+        big = np.abs(cur) > LAGUERRE_RESCALE
+        if big.any():
+            f = np.where(big, np.abs(cur), 1.0)
+            cur /= f
+            prev /= f
+            sumsq /= f * f
+            logscale += np.log(f)
+    return cur, prev, sumsq, logscale
+
+
+@lru_cache(maxsize=256)
+def laggauss_cached(order: int):
+    """Gauss-Laguerre nodes s plus weights premultiplied by e^{s}.
+
+    The nodes are the eigenvalues of the Jacobi matrix (diagonal 2k + 1,
+    off-diagonal k), polished by Newton steps on L_order through the
+    three-term recurrence. The weight times e^{s} is e^{s} over the
+    Christoffel sum sum_{k<order} L_k(s)^2, taken in log form so that
+    neither factor over- or underflows. numpy's laggauss loses digits as the
+    order grows and returns NaN weights from about 226 nodes; this rule
+    stays near 1e-14 on e^{-s} s^k / k! up to several hundred nodes.
+    """
+    k = np.arange(1, order, dtype=float)
+    jacobi = np.diag(2.0 * np.arange(order) + 1.0) + np.diag(k, 1) + np.diag(k, -1)
+    s = np.linalg.eigvalsh(jacobi)
+    for _ in range(LAGUERRE_NEWTON_STEPS):
+        # x L_n'(x) = n (L_n - L_{n-1}); the common scale cancels in the step
+        last, before, _, _ = _laguerre_recurrence(s, order)
+        s = s - s * last / (order * (last - before))
+    _, _, sumsq, logscale = _laguerre_recurrence(s, order)
+    weights = np.exp(s - np.log(sumsq) - 2.0 * logscale)
+    s.flags.writeable = False
+    weights.flags.writeable = False
+    return s, weights
 
 
 @lru_cache(maxsize=16)
@@ -326,6 +454,56 @@ def _product_integral(f, center: np.ndarray, chols, order: int) -> float:
     return jac * math.fsum(partials)
 
 
+def polar_integral(f, envelope: GaussianEnvelope, order: int) -> float:
+    """integral f(z) dz over the (x, p) plane for f ~ e^{-lam |z|^2} poly(z).
+
+    The envelope must be lam * I with centre 0. With s = lam |z|^2 the rule
+    takes `order` Gauss-Laguerre nodes in s and a 2 * order trapezoid in the
+    angle, and calls f once, on their PolarGrid. It is exact when f e^{s} is
+    a trigonometric polynomial of degree < 2 * order in the angle whose
+    angular mean is a polynomial of degree < 2 * order in s; for W^m of a
+    field of polynomial degree D both hold from order m * D // 4 + 1.
+    """
+    lam = envelope.polar_scale()
+    if lam is None:
+        raise UnsupportedOperationError(
+            "the polar rule needs a one-mode envelope lam * I centred at 0"
+        )
+    n_theta = 2 * order
+    if order * n_theta > MAX_POLAR_NODES:
+        raise SizeLimitError(
+            f"polar rule with {order * n_theta} nodes exceeds cap {MAX_POLAR_NODES}"
+        )
+    s, ws = laggauss_cached(order)
+    values = np.asarray(f(PolarGrid.equispaced(np.sqrt(s / lam), n_theta)), dtype=float)
+    # dx dp = ds dtheta / (2 lam), and the trapezoid weight is 2 pi / n_theta
+    return math.pi / (lam * n_theta) * float(np.sum(ws * np.sum(values, axis=1)))
+
+
+def outer_radius(envelope: GaussianEnvelope, degree: int = 0) -> float:
+    """Radius past which an integrand ~ |z|^degree e^{-(z-c)^T Q (z-c)} stays
+    below e^-RADIAL_TAIL_EXPONENT of its peak, along the softest direction.
+
+    With t = |z - c|^2 and lam the smallest eigenvalue of Q, the log of the
+    profile is (degree / 2) log t - lam t, which peaks at t0 = degree / (2 lam).
+    Newton's method on the drop past t0 is concave and decreasing there, so
+    every iterate after the first lies at or beyond the root: the radius
+    errs on the wide side.
+    """
+    lam = float(np.linalg.eigvalsh(envelope.form)[0])
+    t = RADIAL_TAIL_EXPONENT / lam
+    if degree > 0:
+        t0 = 0.5 * degree / lam
+        t += t0
+        for _ in range(50):
+            drop = 0.5 * degree * math.log(t / t0) - lam * (t - t0) + RADIAL_TAIL_EXPONENT
+            step = drop / (0.5 * degree / t - lam)
+            t -= step
+            if abs(step) <= 1e-12 * t:
+                break
+    return float(np.max(np.abs(envelope.center))) + math.sqrt(t)
+
+
 def uniform_grid_integral(
     f,
     dims: int,
@@ -371,15 +549,15 @@ def radial_integral(
     """integral f(z) dz over the (x, p) plane, in polar coordinates.
 
     f maps (n, 2) points to n values and decays like the envelope. The disk
-    ends at r_max, by default where the envelope falls to e^-60 (blind to a
-    polynomial factor's growth). Angles run on an n_theta trapezoid, the
+    ends at r_max, by default where the envelope falls to e^-60; a caller
+    that knows the polynomial factor's degree passes outer_radius(envelope,
+    degree) instead. Angles run on an n_theta trapezoid, the
     radius on Gauss-Legendre panels: the panel whose halves differ most from
     its whole (scaled as in QUADPACK against its integral of |f|) is bisected
     until the total meets the tolerances, or warns at RADIAL_MAX_PANELS.
     """
     if r_max is None:
-        lam_min = float(np.linalg.eigvalsh(envelope.form)[0])
-        r_max = float(np.max(np.abs(envelope.center))) + math.sqrt(60.0 / lam_min)
+        r_max = outer_radius(envelope)
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     ring = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     t, w = np.polynomial.legendre.leggauss(RADIAL_NODES)

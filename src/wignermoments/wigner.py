@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedOperationError
+from .errors import InvalidArgumentError, SizeLimitError, UnsupportedOperationError
 from .quadrature import (
     GaussianEnvelope,
     GridSpec,
     ModeGrid,
+    PolarGrid,
     _cholesky,
     _node_tensor,
     _substitute,
@@ -59,6 +60,10 @@ REAL_TOL = 1e-10
 # synthesis materializes (chunk, dim, dim) kernel blocks.
 SYNTH_BLOCK_FLOATS = 8_000_000
 
+# Cap on the per-radius sector arrays of one-mode synthesis on a PolarGrid:
+# complex (radii, max(sectors, angles)) blocks, 16 bytes an entry.
+MAX_SECTOR_BYTES = 256_000_000
+
 
 @dataclass(frozen=True)
 class WignerField:
@@ -67,9 +72,11 @@ class WignerField:
     evaluate maps an (n, 2 * modes) array of phase-space points (ordered
     x_1..x_k, p_1..p_k) to n real values. polynomial_degree is the total
     degree of the polynomial W * exp(+(z - c)^T Q (z - c)). separable marks
-    a two-mode field built from per-mode factors (NOON, Fock synthesis): its
-    evaluate also accepts a ModeGrid and returns the (n1, n2) block of
-    values, and its envelope never couples the modes.
+    a field whose evaluate also accepts its product grid and returns the
+    block of values there: a ModeGrid, (n1, n2), for a two-mode field built
+    from per-mode factors (NOON, Fock synthesis), whose envelope never
+    couples the modes; a PolarGrid, (radii, angles), for a one-mode field
+    built from angular sectors (Fock, the 0/1 mixture, Fock synthesis).
     """
 
     modes: int
@@ -105,8 +112,10 @@ def _laguerre(alpha: int, x: np.ndarray, count: int):
         n L_n = ((2n - 1 + alpha) - x) L_{n-1} - (n - 1 + alpha) L_{n-2}
 
     in place on three buffers, so a yielded array is overwritten two steps on.
+    alpha may be an array that broadcasts against x (one row per order).
     """
-    prev, cur, tmp = np.zeros(x.shape), np.ones(x.shape), np.empty(x.shape)
+    shape = np.broadcast_shapes(np.shape(alpha), x.shape)
+    prev, cur, tmp = np.zeros(shape), np.ones(shape), np.empty(shape)
     for n in range(count):
         if n:
             np.subtract(2.0 * n - 1.0 + alpha, x, out=tmp)
@@ -122,19 +131,34 @@ def _laguerre(alpha: int, x: np.ndarray, count: int):
 # catalog closed forms
 
 
-def _fock_field(spec: Fock) -> WignerField:
+def _radial_field(radial, degree: int, label: str) -> WignerField:
+    """A one-mode field W(z) = radial(|z|^2) with the unit envelope.
+
+    On a PolarGrid the profile is evaluated once per radius and repeated
+    over the angles.
+    """
+
     def evaluate(z):
-        u = z[:, 0] ** 2 + z[:, 1] ** 2
-        *_, lag = _laguerre(0, 2.0 * u, spec.n + 1)
-        return ((-1.0) ** spec.n / math.pi) * np.exp(-u) * lag
+        if isinstance(z, PolarGrid):
+            return np.repeat(radial(z.r * z.r)[:, None], z.theta.size, axis=1)
+        return radial(z[:, 0] ** 2 + z[:, 1] ** 2)
 
     return WignerField(
         modes=1,
         evaluate=evaluate,
         envelope=GaussianEnvelope(np.eye(2), np.zeros(2)),
-        polynomial_degree=2 * spec.n,
-        label=spec_label(spec),
+        polynomial_degree=degree,
+        label=label,
+        separable=True,
     )
+
+
+def _fock_field(spec: Fock) -> WignerField:
+    def radial(u):
+        *_, lag = _laguerre(0, 2.0 * u, spec.n + 1)
+        return ((-1.0) ** spec.n / math.pi) * np.exp(-u) * lag
+
+    return _radial_field(radial, 2 * spec.n, spec_label(spec))
 
 
 def _noon_field(spec: Noon) -> WignerField:
@@ -239,17 +263,10 @@ def _mixed01_field(spec: MixedFock01) -> WignerField:
     a = 2.0 * spec.lam - 1.0
     b = 2.0 * (1.0 - spec.lam)
 
-    def evaluate(z):
-        u = z[:, 0] ** 2 + z[:, 1] ** 2
+    def radial(u):
         return np.exp(-u) * (a + b * u) / math.pi
 
-    return WignerField(
-        modes=1,
-        evaluate=evaluate,
-        envelope=GaussianEnvelope(np.eye(2), np.zeros(2)),
-        polynomial_degree=2,
-        label=spec_label(spec),
-    )
+    return _radial_field(radial, 2, spec_label(spec))
 
 
 # custom specs go to the Gaussian/synthesis evaluators: total over StateSpec
@@ -364,6 +381,98 @@ def _synth_values_one_mode(rho: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc * np.exp(-u) / math.pi
 
 
+def _sector_table(rho: np.ndarray):
+    """The angular sectors of a one-mode rho that the polar evaluator sums.
+
+    Returns the sector indices d whose diagonal rho[n + d, n] has a nonzero
+    entry, as an (A, 1) float column; their series coefficients
+    (-1)^n B(n, d) / B(0, d) rho[n + d, n], with B(n, d) = sqrt(2^d n! / m!)
+    and m = n + d, split into real and imaginary (A, steps) parts that are
+    zero past the matrix edge and end at the last nonzero column; and
+    log B(0, d) as a column.
+    """
+    dim = rho.shape[0]
+    index = np.arange(dim)
+    offsets = index[:, None] - index[None, :]
+    active = np.unique(offsets[(rho != 0) & (offsets >= 0)])
+    d = active[:, None]
+    n = np.arange(dim - (active[0] if active.size else dim))[None, :]
+    rows = n + d
+    entries = np.where(rows < dim, rho[np.minimum(rows, dim - 1), n], 0.0)
+    step = np.maximum(n, 1)
+    ratio = np.cumprod(np.where(n > 0, np.sqrt(step / (step + d)), 1.0), axis=1)
+    coeff = np.where(n % 2, -ratio, ratio) * entries
+    # the recurrence stops at the last nonzero coefficient (n + 1 steps for |n><n|)
+    used = np.flatnonzero(np.any(coeff != 0.0, axis=0))
+    coeff = coeff[:, : used[-1] + 1 if used.size else 0]
+    log_b0 = [0.5 * (k * math.log(2.0) - math.lgamma(k + 1.0)) for k in active.tolist()]
+    return d.astype(float), coeff.real.copy(), coeff.imag.copy(), np.array(log_b0)[:, None]
+
+
+def _synth_sectors_one_mode(table, r: np.ndarray) -> np.ndarray:
+    """Sector radials S[:, a] of the table's sectors d_a, where
+    W = S_0 + 2 Re sum_{d>0} S_d(r) e^{-i d theta}.
+
+    With u = r^2, the table of _sector_table, and m = n + d:
+
+        S_d(r) = r^d e^{-u} / pi sum_n (-1)^n B(n, d) rho[m, n] L_n^(d)(2u)
+
+    One recurrence runs over the table's sectors at once, a row per sector.
+    The prefactor r^d e^{-u} B(0, d) is taken as one exponential, so none of
+    its factors over- or underflows on its own at large radii or cutoffs.
+    """
+    orders, coeff_re, coeff_im, log_b0 = table
+    u = r * r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expo = orders * np.log(r)  # log r^d, -inf at r = 0
+    if orders.size and orders[0, 0] == 0.0:
+        expo[0] = 0.0
+    expo += log_b0 - u
+    acc_re = np.zeros(expo.shape)
+    acc_im = np.zeros(expo.shape) if np.any(coeff_im) else None
+    term = np.empty(expo.shape)
+    for n, lag in enumerate(_laguerre(orders, 2.0 * u, coeff_re.shape[1])):
+        acc_re += np.multiply(lag, coeff_re[:, n, None], out=term)
+        if acc_im is not None:
+            acc_im += np.multiply(lag, coeff_im[:, n, None], out=term)
+    acc = acc_re if acc_im is None else acc_re + 1j * acc_im
+    return (acc * (np.exp(expo) / math.pi)).T
+
+
+def _sectors_on_angles(orders: np.ndarray, sectors: np.ndarray, n_theta: int) -> np.ndarray:
+    """S_0 + 2 Re sum_{d>0} S_d e^{-2 pi i d j / N} for j < N, as one real DFT.
+
+    numpy's hfft takes a half spectrum a_0..a_{N//2} and returns
+    Re a_0 + 2 Re sum_{0<k<N/2} a_k e^{-2 pi i k j / N} (+ Re a_{N/2} (-1)^j
+    for even N). e^{-i d theta_j} depends only on k = d mod N, so sector d
+    adds to a_k, conjugated onto a_{N-k} past N/2, and twice over where hfft
+    counts a term once (k = 0 or N/2 with d > 0).
+    """
+    d = orders.astype(int)
+    k = d % n_theta
+    mirrored = 2 * k > n_theta
+    once = (d > 0) & ((k == 0) | (2 * k == n_theta))
+    column = np.where(mirrored, n_theta - k, k)
+    terms = np.where(mirrored, np.conj(sectors), sectors) * np.where(once, 2.0, 1.0)
+    half = np.zeros((sectors.shape[0], n_theta // 2 + 1), dtype=complex)
+    if np.all(np.diff(column) > 0):  # no two sectors share a column
+        half[:, column] = terms
+    else:
+        np.add.at(half, (slice(None), column), terms)
+    return np.fft.hfft(half, n_theta, axis=1)
+
+
+def _synth_polar_one_mode(table, dim: int, grid: PolarGrid) -> np.ndarray:
+    n_theta = grid.theta.size
+    nbytes = 16 * grid.r.size * max(dim, n_theta)
+    if nbytes > MAX_SECTOR_BYTES:
+        raise SizeLimitError(
+            f"polar synthesis needs {nbytes} bytes of sectors, cap {MAX_SECTOR_BYTES}"
+        )
+    sectors = _synth_sectors_one_mode(table, grid.r)
+    return _sectors_on_angles(table[0][:, 0], sectors, n_theta)
+
+
 def _synth_values_two_mode(rho4: np.ndarray, z) -> np.ndarray:
     dim = rho4.shape[0]
     d2 = dim * dim
@@ -391,8 +500,11 @@ def wigner_fock_synthesis(state: FockState, label: str | None = None) -> WignerF
     """Wigner function synthesized from a truncated density matrix."""
     if state.modes == 1:
         rho = state.matrix
+        table = _sector_table(rho)
 
         def evaluate(z):
+            if isinstance(z, PolarGrid):
+                return _synth_polar_one_mode(table, state.dim, z)
             return _synth_values_one_mode(rho, z)
 
     else:
@@ -409,7 +521,7 @@ def wigner_fock_synthesis(state: FockState, label: str | None = None) -> WignerF
         envelope=GaussianEnvelope(np.eye(2 * k), np.zeros(2 * k)),
         polynomial_degree=2 * state.cutoff * k,
         label=label or f"fock_synthesis(k={k},cutoff={state.cutoff})",
-        separable=k == 2,
+        separable=True,
     )
 
 

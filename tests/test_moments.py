@@ -166,8 +166,7 @@ def test_alternate_schemes_agree():
     "spec", [states.Fock(n) for n in range(13)] + [states.MixedFock01(0.3)], ids=str
 )
 def test_adaptive_radial_matches_exact_moments(spec):
-    # half_width is the outer radius: W^m of Fock(12) still reaches past the
-    # default, which only looks at the envelope
+    # an explicit half_width overrides the default outer radius
     quad = QuadratureSpec(scheme="adaptive_radial", half_width=10.0)
     field = field_of(spec)
     with warnings.catch_warnings():
@@ -175,6 +174,17 @@ def test_adaptive_radial_matches_exact_moments(spec):
         for m in (2, 3):
             want = oracle.radial_closed_form_moment(spec, m)
             assert moments.moment(field, m, quad) == pytest.approx(want, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_adaptive_radial_default_radius_covers_the_polynomial(n):
+    # the default outer radius must cover W^m's polynomial factor, not only
+    # its envelope
+    quad = QuadratureSpec(scheme="adaptive_radial", order=64)
+    spec = states.Fock(n)
+    for m in (2, 3):
+        want = oracle.radial_closed_form_moment(spec, m)
+        assert moments.moment(field_of(spec), m, quad) == pytest.approx(want, rel=1e-9, abs=0)
 
 
 def test_adaptive_radial_off_center_correlated_gaussian():
