@@ -338,8 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheme",
         default=None,
         help=f"integration rule, one of {', '.join(SCHEME_NAMES)} (default: "
-        "gauss_laguerre_polar for one-mode Fock-basis fields, "
-        "gauss_hermite_tensor for the rest, each at its exact order)",
+        "gauss_laguerre_polar for one-mode Fock-basis fields and, without "
+        "--cutoff, for the unsqueezed cores of tmsv, spssv and Gaussians; "
+        "gauss_hermite_tensor for the rest; each at its exact order). An "
+        "explicit --scheme or --order integrates the squeezed field itself",
     )
     p_analyze.add_argument(
         "--order",

@@ -12,6 +12,16 @@ other field folds its Gaussian envelope (times m) into a Gauss-Hermite
 tensor weight. An explicit QuadratureSpec picks the scheme instead; a
 uniform grid and a single-mode adaptive radial rule are available as
 cross-checks.
+
+w_m is invariant under a symplectic map W(z) -> W(S^-1 z + d), det S = 1
+(Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)). So analyze, with no
+QuadratureSpec and no cutoff, integrates the squeezed pairs and Gaussians
+through their unsqueezed core, a product of one-mode fields on the polar
+rule: Tmsv as vacuum x vacuum, Spssv (either parity, a beam-splitter image
+of |1> x |0> before the squeezer) as Fock(1) x vacuum, and a k-mode
+Gaussian as k vacua dilated to nu = det(sigma)^(1/2k). An explicit
+QuadratureSpec still integrates the squeezed field itself, as the
+cross-check, and so does moment().
 """
 
 from __future__ import annotations
@@ -33,15 +43,24 @@ from .quadrature import (
 )
 from .states import (
     FAMILIES,
+    Fock,
     FockCustom,
     GaussianCustom,
     GaussianState,
+    Spssv,
     StateSpec,
+    Tmsv,
     param_type,
     spec_label,
     state_from_spec,
 )
-from .wigner import WignerField, wigner_analytic, wigner_fock_synthesis, wigner_gaussian
+from .wigner import (
+    WignerField,
+    dilate,
+    wigner_analytic,
+    wigner_fock_synthesis,
+    wigner_gaussian,
+)
 
 __all__ = [
     "CERTIFIED",
@@ -242,6 +261,84 @@ def field_for(spec: StateSpec, cutoff: int | None):
     return wigner_fock_synthesis(state, label=spec_label(spec)), state.cutoff
 
 
+def _gaussian_core(spec: GaussianCustom) -> tuple:
+    """k vacua dilated to nu = det(sigma)^(1/2k): the same det(sigma), so the
+    same moments, as the Gaussian (W = c^2 e^{-c^2 |z|^2} / pi per mode has
+    sigma = I / (2 c^2) = nu I at c = (2 nu)^(-1/2))."""
+    state = state_from_spec(spec)
+    k = state.modes
+    nu = float(np.linalg.det(state.covariance)) ** (1.0 / (2 * k))
+    return (dilate(wigner_analytic(Fock(0)), (2.0 * nu) ** -0.5),) * k
+
+
+# One-mode factor fields whose moments multiply to those of the spec; a
+# factor repeated as the same object is integrated once.
+_SYMPLECTIC_CORES = {
+    Tmsv: lambda spec: (wigner_analytic(Fock(0)),) * 2,
+    Spssv: lambda spec: (wigner_analytic(Fock(1)), wigner_analytic(Fock(0))),
+    GaussianCustom: _gaussian_core,
+}
+
+
+def _moments_and_errors(field: WignerField, quad: QuadratureSpec, max_m: int):
+    """w_1..w_max_m on quad, and |w_m(order) - w_m(2 order)| for m >= 2."""
+    moments = {m: moment(field, m, quad) for m in range(1, max_m + 1)}
+    doubled = QuadratureSpec(
+        scheme=quad.scheme,
+        order=2 * quad.order,
+        envelope_scale=quad.envelope_scale,
+        half_width=quad.half_width,
+    )
+    errors = {m: abs(moments[m] - moment(field, m, doubled)) for m in range(2, max_m + 1)}
+    return moments, errors
+
+
+def _product_error(parts) -> float:
+    """Bound on the error of a product of w_i each within e_i of its value:
+    sum_j e_j prod_{i != j} (|w_i| + e_i)."""
+    return math.fsum(
+        e_j * math.prod(abs(w) + e for i, (w, e) in enumerate(parts) if i != j)
+        for j, (_, e_j) in enumerate(parts)
+    )
+
+
+def _report(label, modes, cutoff, quad, moments, est_error, warn=False) -> MomentReport:
+    delta = moments[2] ** 2 - moments[3]
+    verdict = criterion(moments[2], moments[3], max(MARGIN_FLOOR, 3.0 * est_error))
+    return MomentReport(
+        state=label,
+        modes=modes,
+        cutoff=cutoff,
+        quadrature=quad,
+        moments=moments,
+        delta=delta,
+        verdict=verdict,
+        est_error=est_error,
+        exactness_warning=warn,
+    )
+
+
+def _analyze_core(spec: StateSpec, factors: tuple, max_m: int) -> MomentReport:
+    """The report of a spec from the one-mode factors of its core.
+
+    Each factor runs on its own default rule and error pass; the moments
+    multiply, est_error is the product bound over the factors' estimates,
+    and the report names the largest factor rule.
+    """
+    runs = {}
+    for f in factors:
+        if id(f) not in runs:
+            quad = default_quadrature(f, max_m)
+            runs[id(f)] = (quad, *_moments_and_errors(f, quad, max_m))
+    parts = [runs[id(f)] for f in factors]
+    moments = {m: math.prod(w[m] for _, w, _ in parts) for m in range(1, max_m + 1)}
+    est_error = max(
+        _product_error([(w[m], e[m]) for _, w, e in parts]) for m in range(2, max_m + 1)
+    )
+    quad = max((q for q, _, _ in parts), key=lambda q: q.order)
+    return _report(spec_label(spec), len(factors), None, quad, moments, est_error)
+
+
 def analyze(
     spec: StateSpec,
     max_m: int = 3,
@@ -254,37 +351,26 @@ def analyze(
     every moment. est_error is the largest |w_m(order) - w_m(2 order)| over
     m >= 2; the certification margin is max(1e-9, 3 est_error), so a
     verdict is only Certified when delta clears the quadrature error budget.
+
+    With neither quad nor cutoff, Tmsv, Spssv and GaussianCustom take the
+    moments of their unsqueezed core (_SYMPLECTIC_CORES): one-mode factors
+    on the polar rule, whose moments multiply, with est_error the product
+    bound over the factors' own estimates. An explicit quad integrates the
+    squeezed field itself, the cross-check of the core.
     """
     if max_m < 3:
         raise InvalidArgumentError("max_m must be >= 3 (criterion needs w2, w3)")
+    core = _SYMPLECTIC_CORES.get(type(spec))
+    if core is not None and quad is None and cutoff is None:
+        return _analyze_core(spec, core(spec), max_m)
     field, used_cutoff = field_for(spec, cutoff)
     if quad is None:
         quad = default_quadrature(field, max_m)
     exact = EXACT_ORDERS.get(quad.scheme)
     warn = exact is not None and quad.order < exact(field, max_m)
-    moments = {m: moment(field, m, quad) for m in range(1, max_m + 1)}
-    doubled = QuadratureSpec(
-        scheme=quad.scheme,
-        order=2 * quad.order,
-        envelope_scale=quad.envelope_scale,
-        half_width=quad.half_width,
-    )
-    est_error = max(
-        abs(moments[m] - moment(field, m, doubled)) for m in range(2, max_m + 1)
-    )
-    delta = moments[2] ** 2 - moments[3]
-    verdict = criterion(moments[2], moments[3], max(MARGIN_FLOOR, 3.0 * est_error))
-    return MomentReport(
-        state=field.label,
-        modes=field.modes,
-        cutoff=used_cutoff,
-        quadrature=quad,
-        moments=moments,
-        delta=delta,
-        verdict=verdict,
-        est_error=est_error,
-        exactness_warning=warn,
-    )
+    moments, errors = _moments_and_errors(field, quad, max_m)
+    est_error = max(errors.values())
+    return _report(field.label, field.modes, used_cutoff, quad, moments, est_error, warn)
 
 
 # ---------------------------------------------------------------------------

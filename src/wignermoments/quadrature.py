@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DegenerateCovarianceError,
@@ -387,7 +386,13 @@ def _cholesky(form: np.ndarray) -> np.ndarray:
 
 
 def _substitute(chol: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Offsets z - c = L^{-T} t for rows t of Gauss-Hermite nodes."""
+    """Offsets z - c = L^{-T} t for rows t of Gauss-Hermite nodes.
+
+    scipy is imported here, its only use: the default routes never reach a
+    coupled envelope, so they run without importing it.
+    """
+    from scipy.linalg import solve_triangular
+
     return solve_triangular(chol, t.T, lower=True, trans="T").T
 
 

@@ -106,6 +106,19 @@ def _require_real(values, what: str) -> np.ndarray:
     return np.ascontiguousarray(values.real) if np.iscomplexobj(values) else values
 
 
+def _coupling(d: int) -> float:
+    """B(0, d) = sqrt(2^d / d!), the leading coupling of kernel sector d.
+
+    math.gamma overflows from d = 171; past it the log form from math.lgamma
+    takes over. Below it the quotient stays, because the two forms differ in
+    the last bits and the kernels and O_m are pinned bit for bit.
+    """
+    try:
+        return math.sqrt(2.0**d / math.gamma(d + 1))
+    except OverflowError:
+        return math.exp(0.5 * (d * math.log(2.0) - math.lgamma(d + 1.0)))
+
+
 def _laguerre(alpha: int, x: np.ndarray, count: int):
     """Yield L_0^(alpha)(x), ..., L_{count-1}^(alpha)(x) (DLMF 18.9.1):
 
@@ -169,7 +182,10 @@ def _noon_field(spec: Noon) -> WignerField:
     # cross term split into its real and imaginary products.
     N = spec.N
     diag_scale = (-1.0) ** N / (2.0 * math.pi**2)
-    cross_scale = 2.0**N / (math.pi**2 * math.gamma(N + 1))
+    try:
+        cross_scale = 2.0**N / (math.pi**2 * math.gamma(N + 1))
+    except OverflowError:  # N! leaves the float range from N = 171
+        cross_scale = math.exp(N * math.log(2.0) - math.lgamma(N + 1.0)) / math.pi**2
     cross_phase = cross_scale * np.exp(-1j * spec.phi)
 
     def factors(x, p, sign, phase):
@@ -338,7 +354,7 @@ def fock_kernel_values(x, p, dim: int, include_envelope: bool = True) -> np.ndar
     out = np.empty((x.size, dim, dim), dtype=complex)
     for off in range(dim):
         xipow = xi**off if off else np.ones_like(xi)
-        coupling = math.sqrt(2.0**off / math.gamma(off + 1))  # B(0, off)
+        coupling = _coupling(off)
         for n, lag in enumerate(_laguerre(off, two_u, dim - off)):
             if n > 0:
                 coupling *= math.sqrt(n / (n + off))
@@ -365,7 +381,7 @@ def _synth_values_one_mode(rho: np.ndarray, z: np.ndarray) -> np.ndarray:
     for off in range(dim):
         if off:
             xipow = xipow * xi
-        coupling = math.sqrt(2.0**off / math.gamma(off + 1))
+        coupling = _coupling(off)
         for n, lag in enumerate(_laguerre(off, two_u, dim - off)):
             if n > 0:
                 coupling *= math.sqrt(n / (n + off))

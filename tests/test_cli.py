@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wignermoments
@@ -88,10 +89,26 @@ def test_analyze_optional_flags_reach_the_spec(capsys):
 
 
 def test_analyze_numerical_precondition_exit_code(capsys):
-    # extreme squeezing makes the envelope numerically singular
-    code, _, err = run(capsys, ["analyze", "--state", "tmsv", "--r", "9.5"])
+    # extreme squeezing makes the squeezed field's envelope numerically
+    # singular on the tensor rule, which an explicit scheme still runs
+    code, _, err = run(
+        capsys,
+        ["analyze", "--state", "tmsv", "--r", "9.5", "--scheme", "gauss_hermite_tensor"],
+    )
     assert code == 3
     assert err.startswith("error (degenerate-covariance):")
+
+
+def test_analyze_strong_squeezing_takes_the_exact_core(capsys):
+    # the default route integrates vacuum x vacuum: w_m = 1/(m^2 pi^(2(m-1)))
+    code, out, err = run(capsys, ["analyze", "--state", "tmsv", "--r", "9.5"])
+    assert code == 0 and err == ""
+    report = moments.read_report(out)
+    assert report.quadrature.scheme == "gauss_laguerre_polar"
+    for m in (1, 2, 3):
+        exact = 1.0 / (m * m * PI ** (2 * (m - 1)))
+        assert report.moments[m] == pytest.approx(exact, rel=1e-14, abs=0), m
+    assert report.verdict == "Inconclusive"
 
 
 @pytest.mark.parametrize("state", ["tmsv", "spssv"])
@@ -188,6 +205,26 @@ def test_grid_output_shape(capsys):
     # the one-photon state sits near it
     values = [float(line.split(",")[2]) for line in lines[1:]]
     assert min(values) < -0.25
+
+
+def test_grid_past_the_factorial_overflow(capsys):
+    # 171! leaves the float range; the kernel couplings must not
+    code, out, err = run(
+        capsys, ["grid", "--state", "fock", "--n", "1", "--cutoff", "171"]
+    )
+    assert code == 0 and err == ""
+    rows = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
+    u = rows[:, 0] ** 2 + rows[:, 1] ** 2
+    want = -np.exp(-u) / PI * np.polynomial.laguerre.lagval(2.0 * u, [0.0, 1.0])
+    assert rows.shape == (64 * 64, 3)
+    assert np.max(np.abs(rows[:, 2] - want)) <= 1e-9
+
+
+def test_noon_past_the_factorial_overflow_exit_code(capsys):
+    # the field builds; its exact tensor rule is over the node cap
+    code, out, err = run(capsys, ["analyze", "--state", "noon", "--N", "171"])
+    assert code == 4 and out == ""
+    assert err.startswith("error (size-limit):")
 
 
 def test_multicopy_report(capsys):
@@ -370,6 +407,28 @@ def test_cli_and_library_import_no_scipy_special_or_integrate():
         + "".join(f"import wignermoments.{name}\n" for name in names)
         + "print(sorted(m for m in sys.modules"
         " if m.split('.')[:2] in (['scipy', 'special'], ['scipy', 'integrate'])))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_default_routes_never_import_scipy():
+    src = str(Path(wignermoments.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from wignermoments import cli, moments, multicopy, states\n"
+        "moments.analyze(states.Spssv(0.5))\n"
+        "moments.analyze(states.Noon(2))\n"
+        "multicopy.multicopy_observable(3, 4)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

@@ -116,11 +116,11 @@ def test_default_route_follows_the_field(spec, cutoff):
     assert rep.exactness_warning is False
 
 
-def test_two_mode_and_gaussian_fields_stay_on_the_tensor_rule():
-    for spec in (states.Noon(2), states.Tmsv(0.4), states.Spssv(0.4, 1)):
-        assert moments.analyze(spec).quadrature.scheme == "gauss_hermite_tensor"
+def test_noon_stays_on_the_tensor_rule_and_symplectic_cores_take_the_polar_rule():
+    assert moments.analyze(states.Noon(2)).quadrature.scheme == "gauss_hermite_tensor"
     gauss = states.GaussianCustom.from_arrays(np.zeros(2), np.eye(2) / 2)
-    assert moments.analyze(gauss).quadrature.scheme == "gauss_hermite_tensor"
+    for spec in (states.Tmsv(0.4), states.Spssv(0.4, 1), gauss):
+        assert moments.analyze(spec).quadrature.scheme == POLAR
 
 
 def test_polar_moment_evaluates_one_polar_grid():
