@@ -57,7 +57,7 @@ _CONFIG_TYPES = {
 
 STATE_CHOICES = ("vacuum", "fock", "noon", "tmsv", "spssv", "mixed01")
 # quadrature.SCHEMES, spelled out so that --help imports no numpy
-SCHEME_NAMES = ("gauss_hermite_tensor", "gauss_laguerre_polar", "adaptive_radial", "uniform_grid")
+SCHEME_NAMES = ("gauss_hermite_tensor", "gauss_laguerre_polar")
 
 
 def _apply_thread_env() -> None:
@@ -347,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--order",
         type=int,
         default=None,
-        help="nodes per axis (tensor), radial nodes with twice as many angles "
-        "(polar), angles (adaptive_radial) or cells per axis (uniform_grid); "
+        help="Gauss-Hermite nodes per axis (gauss_hermite_tensor) or radial "
+        "Gauss-Laguerre nodes with twice as many angles (gauss_laguerre_polar); "
         "alone it selects gauss_hermite_tensor",
     )
     p_analyze.add_argument("--format", choices=("json", "csv"), default="json")

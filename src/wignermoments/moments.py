@@ -9,9 +9,9 @@ The default integration path is exact for every catalog state. One-mode
 fields built from angular sectors (Fock, the 0/1 mixture, one-mode Fock
 synthesis, and their dilations) take the polar Gauss-Laguerre rule; every
 other field folds its Gaussian envelope (times m) into a Gauss-Hermite
-tensor weight. An explicit QuadratureSpec picks the scheme instead; a
-uniform grid and a single-mode adaptive radial rule are available as
-cross-checks.
+tensor weight. An explicit QuadratureSpec picks the scheme and order
+instead. The independent cross-checks live in oracle: a midpoint rule on a
+box and the rational closed forms.
 
 w_m is invariant under a symplectic map W(z) -> W(S^-1 z + d), det S = 1
 (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)). So analyze, with no
@@ -33,14 +33,7 @@ from dataclasses import dataclass, field as dataclass_field, fields
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedOperationError
-from .quadrature import (
-    QuadratureSpec,
-    gauss_hermite_integral,
-    outer_radius,
-    polar_integral,
-    radial_integral,
-    uniform_grid_integral,
-)
+from .quadrature import QuadratureSpec, gauss_hermite_integral, polar_integral
 from .states import (
     FAMILIES,
     Fock,
@@ -82,8 +75,6 @@ __all__ = [
 CERTIFIED = "NegativityCertified"
 INCONCLUSIVE = "Inconclusive"
 MARGIN_FLOOR = 1e-9
-
-DEFAULT_HALF_WIDTH = {1: 7.0, 2: 6.0}
 
 
 def exactness_order(field: WignerField, m: int) -> int:
@@ -134,31 +125,13 @@ def moment(field: WignerField, m: int, quad: QuadratureSpec | None = None) -> fl
             integrand,
             field.envelope.scaled(m),
             quad.order,
-            envelope_scale=quad.envelope_scale,
             separable=field.separable,
         )
-    if quad.scheme == "gauss_laguerre_polar":
-        if not _takes_polar(field):
-            raise UnsupportedOperationError(
-                "gauss_laguerre_polar supports one-mode Fock-basis fields"
-            )
-        return polar_integral(integrand, field.envelope.scaled(m), quad.order)
-    if quad.scheme == "uniform_grid":
-        half = quad.half_width or DEFAULT_HALF_WIDTH.get(field.modes)
-        if half is None:
-            raise InvalidArgumentError(f"no default half_width for k={field.modes}")
-        return uniform_grid_integral(integrand, 2 * field.modes, half, quad.order)
-    if quad.scheme == "adaptive_radial":
-        if field.modes != 1:
-            raise UnsupportedOperationError("adaptive_radial supports single-mode fields")
-        envelope = field.envelope.scaled(m)
-        return radial_integral(
-            integrand,
-            envelope,
-            max(16, quad.order),
-            quad.half_width or outer_radius(envelope, m * field.polynomial_degree),
+    if not _takes_polar(field):
+        raise UnsupportedOperationError(
+            "gauss_laguerre_polar supports one-mode Fock-basis fields"
         )
-    raise InvalidArgumentError(f"unknown scheme {quad.scheme!r}")
+    return polar_integral(integrand, field.envelope.scaled(m), quad.order)
 
 
 def moment_gaussian_closed_form(state: GaussianState, m: int) -> float:
@@ -283,12 +256,7 @@ _SYMPLECTIC_CORES = {
 def _moments_and_errors(field: WignerField, quad: QuadratureSpec, max_m: int):
     """w_1..w_max_m on quad, and |w_m(order) - w_m(2 order)| for m >= 2."""
     moments = {m: moment(field, m, quad) for m in range(1, max_m + 1)}
-    doubled = QuadratureSpec(
-        scheme=quad.scheme,
-        order=2 * quad.order,
-        envelope_scale=quad.envelope_scale,
-        half_width=quad.half_width,
-    )
+    doubled = QuadratureSpec(quad.scheme, 2 * quad.order)
     errors = {m: abs(moments[m] - moment(field, m, doubled)) for m in range(2, max_m + 1)}
     return moments, errors
 
@@ -421,11 +389,7 @@ def _fmt(x) -> str:
 # Hoelder-chain diagnostics
 
 
-def holder_chain_check(
-    field: WignerField,
-    quad: QuadratureSpec | None = None,
-    method: str = "auto",
-) -> dict:
+def holder_chain_check(field: WignerField) -> dict:
     """Norm inequalities behind the criterion, computed on |W|.
 
     Returns the norms ||W||_1, ||W||_{3/2}, ||W||_2, ||W||_3 plus booleans
@@ -434,33 +398,19 @@ def holder_chain_check(
     for every state because the integrands use |W|; only ||W||_1 = 1
     distinguishes nonnegative Wigner functions.
 
-    |W|^p has kinks where W crosses zero, so these integrals converge
-    instead of being exact. The Gauss-Hermite default reaches ~1e-3, enough
-    for the inequalities (their slack is a few percent); method="radial"
-    (single mode) runs an adaptive radial rule that resolves the kink
-    circles to ~1e-9 when a precise norm value is wanted.
+    The norms run on Gauss-Hermite tensor rules against the envelope of
+    |W|^p: order 12 for Gaussians, where they are exact, else 96 nodes per
+    axis in one mode and 24 in two. |W|^p has kinks where W crosses zero,
+    so there the rule converges instead of being exact: Fock(1) gets
+    norm_1 = 1.43152 against 4 e^{-1/2} - 1 = 1.42612, 3.8e-3 relative.
+    That is enough for the inequalities, whose slack is a few percent.
     """
-    if method not in ("auto", "gauss_hermite", "radial"):
-        raise InvalidArgumentError(f"unknown holder method {method!r}")
-    if method == "radial" and field.modes != 1:
-        raise UnsupportedOperationError("radial norms support single-mode fields")
-    if quad is None:
-        smooth = field.polynomial_degree == 0
-        quad = QuadratureSpec(order=12 if smooth else (96 if field.modes == 1 else 24))
+    smooth = field.polynomial_degree == 0
+    order = 12 if smooth else (96 if field.modes == 1 else 24)
     norms = {}
     for p in (1.0, 1.5, 2.0, 3.0):
         integrand = lambda z, _p=p: np.abs(field.evaluate(z)) ** _p
-        if method == "radial":
-            envelope = field.envelope.scaled(p)
-            r_max = outer_radius(envelope, p * field.polynomial_degree)
-            val = radial_integral(integrand, envelope, 256, r_max)
-        else:
-            val = gauss_hermite_integral(
-                integrand,
-                field.envelope.scaled(p),
-                quad.order,
-                envelope_scale=quad.envelope_scale,
-            )
+        val = gauss_hermite_integral(integrand, field.envelope.scaled(p), order)
         norms[p] = val ** (1.0 / p)
     slack = 1e-9
     return {
@@ -472,4 +422,3 @@ def holder_chain_check(
         "interpolation_ok": norms[1.5]
         <= norms[2.0] ** (2.0 / 3.0) * norms[1.0] ** (1.0 / 3.0) * (1.0 + 1e-8) + slack,
     }
-

@@ -1,4 +1,8 @@
-"""Gauss-Hermite tensor quadrature against Gaussian envelopes.
+"""Exact Gauss rules against Gaussian envelopes, and the oracle's box rule.
+
+The two schemes of SCHEMES are the Gauss-Hermite tensor rule and the polar
+Gauss-Laguerre rule below; each is exact on polynomial-times-envelope
+fields from a known order.
 
 The integrals in this package all have the shape integral f(z) dz where f
 decays like exp(-(z - c)^T Q (z - c)) for a known SPD form Q. Substituting
@@ -19,6 +23,10 @@ a trigonometric polynomial in the angle, so Gauss-Laguerre nodes in s and
 an equispaced trapezoid in the angle integrate it exactly (polar_integral).
 An integrand that accepts a PolarGrid returns its (radii, angles) block.
 
+uniform_grid_integral, a midpoint rule on a box, serves the independent
+oracle.riemann_moment; it walks its grid in the same blocks as the
+Gauss-Hermite rule. Every rule here needs numpy alone.
+
 Summation is deterministic: fixed chunking over the leading axis (mode-1
 rows on the product rule), fixed-order sums inside a chunk, math.fsum
 across chunk partials.
@@ -27,7 +35,6 @@ across chunk partials.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,7 +44,6 @@ from .errors import (
     DegenerateCovarianceError,
     InvalidArgumentError,
     SizeLimitError,
-    TruncationWarning,
     UnsupportedOperationError,
 )
 
@@ -51,9 +57,7 @@ __all__ = [
     "gauss_hermite_integral",
     "hermgauss_cached",
     "laggauss_cached",
-    "outer_radius",
     "polar_integral",
-    "radial_integral",
     "uniform_grid_integral",
 ]
 
@@ -61,9 +65,7 @@ __all__ = [
 #   any mode count; order counts nodes per axis.
 # gauss_laguerre_polar: one-mode fields with an isotropic, centred envelope;
 #   order counts radial Gauss-Laguerre nodes, with twice as many angles.
-# adaptive_radial: one-mode cross-check; order counts trapezoid angles.
-# uniform_grid: midpoint cross-check on a box; order counts cells per axis.
-SCHEMES = ("gauss_hermite_tensor", "gauss_laguerre_polar", "adaptive_radial", "uniform_grid")
+SCHEMES = ("gauss_hermite_tensor", "gauss_laguerre_polar")
 
 # Cap on tensor-product node counts (64 GH points per axis in 4 dims is
 # 16.8M nodes, ~0.5 GB of transient blocks at the default chunking).
@@ -80,17 +82,8 @@ MAX_POLAR_NODES = 4_000_000
 LAGUERRE_NEWTON_STEPS = 3
 LAGUERRE_RESCALE = 1e150
 
-# Envelope decay (as a power of e) past the outer radius of the radial rule.
-RADIAL_TAIL_EXPONENT = 60.0
-
 # Axes of each mode in the (x_1, x_2, p_1, p_2) point layout.
 MODE_AXES = ((0, 2), (1, 3))
-
-# Adaptive radial rule: nodes per panel, QUADPACK's tolerances, panel cap.
-RADIAL_NODES = 21
-RADIAL_EPSABS = 1e-13
-RADIAL_EPSREL = 1e-11
-RADIAL_MAX_PANELS = 300
 
 
 @dataclass(frozen=True)
@@ -233,23 +226,17 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate: scheme, order, and envelope tweaks.
+    """How to integrate: a scheme of SCHEMES and its order.
 
-    scheme is one of SCHEMES: gauss_hermite_tensor (order = Gauss-Hermite
-    nodes per axis), gauss_laguerre_polar (one-mode fields with an
-    isotropic, centred envelope; order = radial Gauss-Laguerre nodes, with
-    2 * order angles), adaptive_radial (one mode; order = trapezoid angles)
-    or uniform_grid (order = midpoint cells per axis). envelope_scale widens
-    (scale > 1) the Gauss-Hermite weight relative to the field's declared
-    envelope; the polar rule ignores it. half_width is the box of
-    uniform_grid and the outer radius of adaptive_radial; both Gauss rules
-    ignore it.
+    gauss_hermite_tensor takes order Gauss-Hermite nodes per axis against
+    the field's envelope, for any mode count. gauss_laguerre_polar takes
+    order radial Gauss-Laguerre nodes and 2 * order angles, for one-mode
+    fields with an isotropic, centred envelope. Both are exact once the
+    order reaches that of moments.default_quadrature.
     """
 
     scheme: str = "gauss_hermite_tensor"
     order: int = 40
-    envelope_scale: float = 1.0
-    half_width: float | None = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -258,14 +245,6 @@ class QuadratureSpec:
             )
         if not isinstance(self.order, (int, np.integer)) or self.order < 1:
             raise InvalidArgumentError(f"quadrature order must be >= 1, got {self.order}")
-        if not (self.envelope_scale > 0.0):
-            raise InvalidArgumentError(
-                f"envelope_scale must be positive, got {self.envelope_scale}"
-            )
-        if self.half_width is not None and not (self.half_width > 0.0):
-            raise InvalidArgumentError(
-                f"half_width must be positive, got {self.half_width}"
-            )
 
 
 @lru_cache(maxsize=64)
@@ -322,6 +301,13 @@ def laggauss_cached(order: int):
     return s, weights
 
 
+def _mesh(axis: np.ndarray, dims: int) -> np.ndarray:
+    """Every dims-tuple of axis values, as an (axis.size**dims, dims) array
+    with the last axis fastest."""
+    grids = np.meshgrid(*([axis] * dims), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1) if grids else np.zeros((1, 0))
+
+
 @lru_cache(maxsize=16)
 def _node_tensor(order: int, dims: int):
     """Meshed nodes (order**dims, dims) and product weights over dims axes.
@@ -331,47 +317,45 @@ def _node_tensor(order: int, dims: int):
     integrand on the 4-D rules. The arrays are shared, hence read-only.
     """
     t, wt = hermgauss_cached(order)
-    grids = np.meshgrid(*([t] * dims), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1) if grids else np.zeros((1, 0))
+    nodes = _mesh(t, dims)
     weights = np.ones(nodes.shape[0])
-    for g in np.meshgrid(*([wt] * dims), indexing="ij"):
-        weights = weights * g.ravel()
+    for column in _mesh(wt, dims).T:
+        weights = weights * column
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
 
 
-def _check_size(order: int, dims: int) -> None:
-    total = order**dims
+def _check_size(rule: str, per_axis: int, dims: int) -> None:
+    total = per_axis**dims
     if total > MAX_TENSOR_NODES:
-        raise SizeLimitError(
-            f"tensor rule with {total} nodes exceeds cap {MAX_TENSOR_NODES}"
-        )
+        raise SizeLimitError(f"{rule} with {total} nodes exceeds cap {MAX_TENSOR_NODES}")
 
 
-def _axis_blocks(order: int, dims: int):
-    """Yield (t_block, wtilde_block) covering the tensor grid in fixed chunks."""
-    t, wt = hermgauss_cached(order)
-    # Lead axes are looped one index at a time; trailing axes are meshed.
-    tail_dims = dims
-    tail = 1
-    while tail_dims > 0 and tail * order <= BLOCK_NODES:
-        tail *= order
-        tail_dims -= 1
-    lead_dims = tail_dims
-    tail_t, tail_w = _node_tensor(order, dims - lead_dims)
+def _tail_dims(per_axis: int, dims: int) -> int:
+    """Trailing axes meshed into one block of at most BLOCK_NODES nodes."""
+    tail_dims, tail = 0, 1
+    while tail_dims < dims and tail * per_axis <= BLOCK_NODES:
+        tail *= per_axis
+        tail_dims += 1
+    return tail_dims
+
+
+def _tensor_blocks(axis: np.ndarray, tail: np.ndarray, dims: int):
+    """Walk the tensor grid of axis over dims axes in fixed blocks.
+
+    tail is the meshed grid of the trailing axes; the lead axes are looped
+    one index at a time. Yields (lead index tuple, block of points).
+    """
+    lead_dims = dims - tail.shape[1]
     if not lead_dims:
-        yield tail_t, tail_w
+        yield (), tail
         return
-    for lead in np.ndindex(*([order] * lead_dims)):
-        block_t = np.empty((tail_t.shape[0], dims))
-        for j, idx in enumerate(lead):
-            block_t[:, j] = t[idx]
-        block_t[:, lead_dims:] = tail_t
-        block_w = tail_w
-        for idx in lead:
-            block_w = block_w * wt[idx]
-        yield block_t, block_w
+    for lead in np.ndindex(*([axis.size] * lead_dims)):
+        block = np.empty((tail.shape[0], dims))
+        block[:, :lead_dims] = axis[list(lead)]
+        block[:, lead_dims:] = tail
+        yield lead, block
 
 
 def _cholesky(form: np.ndarray) -> np.ndarray:
@@ -388,19 +372,19 @@ def _cholesky(form: np.ndarray) -> np.ndarray:
 def _substitute(chol: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Offsets z - c = L^{-T} t for rows t of Gauss-Hermite nodes.
 
-    scipy is imported here, its only use: the default routes never reach a
-    coupled envelope, so they run without importing it.
+    LAPACK's LU of the upper-triangular L^T needs no row exchange, so the
+    solve is a back-substitution through L^T.
     """
-    from scipy.linalg import solve_triangular
-
-    return solve_triangular(chol, t.T, lower=True, trans="T").T
+    return np.linalg.solve(chol.T, t.T).T
 
 
 def _mode_rule(center: np.ndarray, chol: np.ndarray, order: int, axes):
     """One mode's order^2-node rule: node coordinates x, p and weights.
 
     z = center + L^{-T} t is back-substituted by hand for the 2x2 factor:
-    the threaded BLAS triangular solve takes milliseconds for this much work.
+    the threaded BLAS solve takes milliseconds for this much work, and it
+    differs from these values in the last bits, which the pinned NOON and
+    two-mode moments keep.
     """
     t, w = _node_tensor(order, 2)
     (l00, _), (l10, l11) = chol
@@ -414,7 +398,6 @@ def gauss_hermite_integral(
     envelope: GaussianEnvelope,
     order: int,
     *,
-    envelope_scale: float = 1.0,
     separable: bool = False,
 ) -> float:
     """integral f(z) dz for f decaying like the given Gaussian envelope.
@@ -427,17 +410,22 @@ def gauss_hermite_integral(
     two per-mode rules whenever the envelope does not couple the modes; a
     coupled envelope keeps the flattened points.
     """
-    form = envelope.form / (envelope_scale * envelope_scale)
+    form = envelope.form
     dims = envelope.center.size
     if separable and envelope.separates_modes():
         chols = [_cholesky(form[np.ix_(axes, axes)]) for axes in MODE_AXES]
-        _check_size(order, dims)
+        _check_size("tensor rule", order, dims)
         return _product_integral(f, envelope.center, chols, order)
     chol = _cholesky(form)
-    _check_size(order, dims)
+    _check_size("tensor rule", order, dims)
     jac = 1.0 / float(np.prod(np.diag(chol)))
+    t, wt = hermgauss_cached(order)
+    tail_t, tail_w = _node_tensor(order, _tail_dims(order, dims))
     partials = []
-    for t_block, w_block in _axis_blocks(order, dims):
+    for lead, t_block in _tensor_blocks(t, tail_t, dims):
+        w_block = tail_w
+        for idx in lead:
+            w_block = w_block * wt[idx]
         z = envelope.center + _substitute(chol, t_block)
         partials.append(float(np.sum(w_block * np.asarray(f(z), dtype=float))))
     return jac * math.fsum(partials)
@@ -485,30 +473,6 @@ def polar_integral(f, envelope: GaussianEnvelope, order: int) -> float:
     return math.pi / (lam * n_theta) * float(np.sum(ws * np.sum(values, axis=1)))
 
 
-def outer_radius(envelope: GaussianEnvelope, degree: int = 0) -> float:
-    """Radius past which an integrand ~ |z|^degree e^{-(z-c)^T Q (z-c)} stays
-    below e^-RADIAL_TAIL_EXPONENT of its peak, along the softest direction.
-
-    With t = |z - c|^2 and lam the smallest eigenvalue of Q, the log of the
-    profile is (degree / 2) log t - lam t, which peaks at t0 = degree / (2 lam).
-    Newton's method on the drop past t0 is concave and decreasing there, so
-    every iterate after the first lies at or beyond the root: the radius
-    errs on the wide side.
-    """
-    lam = float(np.linalg.eigvalsh(envelope.form)[0])
-    t = RADIAL_TAIL_EXPONENT / lam
-    if degree > 0:
-        t0 = 0.5 * degree / lam
-        t += t0
-        for _ in range(50):
-            drop = 0.5 * degree * math.log(t / t0) - lam * (t - t0) + RADIAL_TAIL_EXPONENT
-            step = drop / (0.5 * degree / t - lam)
-            t -= step
-            if abs(step) <= 1e-12 * t:
-                break
-    return float(np.max(np.abs(envelope.center))) + math.sqrt(t)
-
-
 def uniform_grid_integral(
     f,
     dims: int,
@@ -520,78 +484,12 @@ def uniform_grid_integral(
         raise InvalidArgumentError(f"half_width must be positive, got {half_width}")
     if points_per_axis < 2:
         raise InvalidArgumentError("need at least 2 points per axis")
-    total = points_per_axis**dims
-    if total > MAX_TENSOR_NODES:
-        raise SizeLimitError(
-            f"uniform grid with {total} nodes exceeds cap {MAX_TENSOR_NODES}"
-        )
+    _check_size("uniform grid", points_per_axis, dims)
     h = 2.0 * half_width / points_per_axis
     axis = -half_width + h * (np.arange(points_per_axis) + 0.5)
-    tail_dims = dims
-    tail = 1
-    while tail_dims > 0 and tail * points_per_axis <= BLOCK_NODES:
-        tail *= points_per_axis
-        tail_dims -= 1
-    lead_dims = tail_dims
-    grids = np.meshgrid(*([axis] * (dims - lead_dims)), indexing="ij")
-    tail_z = (
-        np.stack([g.ravel() for g in grids], axis=1) if grids else np.zeros((1, 0))
-    )
-    partials = []
-    lead_iter = np.ndindex(*([points_per_axis] * lead_dims)) if lead_dims else iter([()])
-    for lead in lead_iter:
-        block = np.empty((tail_z.shape[0], dims))
-        for j, idx in enumerate(lead):
-            block[:, j] = axis[idx]
-        block[:, lead_dims:] = tail_z
-        partials.append(float(np.sum(np.asarray(f(block), dtype=float))))
+    tail = _mesh(axis, _tail_dims(points_per_axis, dims))
+    partials = [
+        float(np.sum(np.asarray(f(block), dtype=float)))
+        for _, block in _tensor_blocks(axis, tail, dims)
+    ]
     return h**dims * math.fsum(partials)
-
-
-def radial_integral(
-    f, envelope: GaussianEnvelope, n_theta: int, r_max: float | None = None
-) -> float:
-    """integral f(z) dz over the (x, p) plane, in polar coordinates.
-
-    f maps (n, 2) points to n values and decays like the envelope. The disk
-    ends at r_max, by default where the envelope falls to e^-60; a caller
-    that knows the polynomial factor's degree passes outer_radius(envelope,
-    degree) instead. Angles run on an n_theta trapezoid, the
-    radius on Gauss-Legendre panels: the panel whose halves differ most from
-    its whole (scaled as in QUADPACK against its integral of |f|) is bisected
-    until the total meets the tolerances, or warns at RADIAL_MAX_PANELS.
-    """
-    if r_max is None:
-        r_max = outer_radius(envelope)
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    ring = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    t, w = np.polynomial.legendre.leggauss(RADIAL_NODES)
-
-    def rule(a, b):  # integrals of f and |f| over the annulus a <= |z| <= b
-        r = a + 0.5 * (b - a) * (t + 1.0)
-        vals = np.asarray(f((r[:, None, None] * ring).reshape(-1, 2)), dtype=float)
-        vals = vals.reshape(r.size, -1)
-        wr = math.pi * (b - a) * w * r  # r dr, and 2 pi times the ring mean
-        return wr @ vals.mean(axis=1), wr @ np.abs(vals).mean(axis=1)
-
-    def panel(a, b, whole):
-        mid = 0.5 * (a + b)
-        (left, left_abs), (right, right_abs) = rule(a, mid), rule(mid, b)
-        error, scale = abs(left + right - whole), left_abs + right_abs
-        if scale:  # QUADPACK's scaling: a slowly converging panel is trusted less
-            error = max(error, scale * min(1.0, (200.0 * error / scale) ** 1.5))
-        return error, a, b, left, right
-
-    panels = [panel(0.0, r_max, rule(0.0, r_max)[0])]
-    while True:
-        value = math.fsum(p[3] + p[4] for p in panels)
-        error = math.fsum(p[0] for p in panels)
-        if error <= max(RADIAL_EPSABS, RADIAL_EPSREL * abs(value)):
-            return value
-        if len(panels) >= RADIAL_MAX_PANELS:
-            msg = f"radial rule stopped at {len(panels)} panels, error {error:.2e}"
-            warnings.warn(msg, TruncationWarning, stacklevel=2)
-            return value
-        _, a, b, left, right = panels.pop(panels.index(max(panels)))
-        mid = 0.5 * (a + b)
-        panels += [panel(a, mid, left), panel(mid, b, right)]

@@ -64,6 +64,10 @@ SYNTH_BLOCK_FLOATS = 8_000_000
 # complex (radii, max(sectors, angles)) blocks, 16 bytes an entry.
 MAX_SECTOR_BYTES = 256_000_000
 
+# Cap on the points of a wigner_grid export (2000 x 2000): each point costs a
+# CSV line and several floats of evaluator temporaries.
+MAX_GRID_POINTS = 4_000_000
+
 
 @dataclass(frozen=True)
 class WignerField:
@@ -381,8 +385,12 @@ def _synth_values_one_mode(rho: np.ndarray, z: np.ndarray) -> np.ndarray:
     for off in range(dim):
         if off:
             xipow = xipow * xi
+        # the recurrence stops at the sector's last nonzero entry
+        nonzero = np.flatnonzero(np.diagonal(rho, -off))
+        if not nonzero.size:
+            continue
         coupling = _coupling(off)
-        for n, lag in enumerate(_laguerre(off, two_u, dim - off)):
+        for n, lag in enumerate(_laguerre(off, two_u, nonzero[-1] + 1)):
             if n > 0:
                 coupling *= math.sqrt(n / (n + off))
             coeff = rho[n + off, n]
@@ -735,6 +743,8 @@ def wigner_grid(field: WignerField, grid: GridSpec):
     if field.modes != 1:
         raise UnsupportedOperationError("grid export supports single-mode fields")
     n = grid.points_per_axis
+    if n * n > MAX_GRID_POINTS:
+        raise SizeLimitError(f"grid of {n}x{n} points exceeds cap {MAX_GRID_POINTS}")
     xs = np.linspace(-grid.half_width, grid.half_width, n)
     ps = xs.copy()
     gx, gp = np.meshgrid(xs, ps, indexing="ij")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -220,6 +221,20 @@ def test_grid_past_the_factorial_overflow(capsys):
     assert np.max(np.abs(rows[:, 2] - want)) <= 1e-9
 
 
+def test_grid_size_limit_exit_code(capsys):
+    # 10^10 points would need tens of GiB; the cap refuses before allocating
+    code, out, err = run(capsys, ["grid", "--state", "fock", "--n", "1", "--points", "100000"])
+    assert code == 4 and out == ""
+    assert err.startswith("error (size-limit):") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scheme", ["adaptive_radial", "uniform_grid"])
+def test_removed_schemes_are_usage_errors(capsys, scheme):
+    code, out, err = run(capsys, ["analyze", "--state", "fock", "--n", "1", "--scheme", scheme])
+    assert code == 2 and out == ""
+    assert err.startswith("error (invalid-argument):")
+
+
 def test_noon_past_the_factorial_overflow_exit_code(capsys):
     # the field builds; its exact tensor rule is over the node cap
     code, out, err = run(capsys, ["analyze", "--state", "noon", "--N", "171"])
@@ -420,14 +435,22 @@ def test_cli_and_library_import_no_scipy_special_or_integrate():
 
 
 def test_default_routes_never_import_scipy():
+    # every module, the default routes, the explicit tensor rule, marginals,
+    # the Hoelder norms and the midpoint oracle run on numpy alone
     src = str(Path(wignermoments.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys\n"
-        "from wignermoments import cli, moments, multicopy, states\n"
+        "from wignermoments import cli, moments, multicopy, oracle, soundness, states, wigner\n"
+        "from wignermoments.quadrature import QuadratureSpec\n"
         "moments.analyze(states.Spssv(0.5))\n"
         "moments.analyze(states.Noon(2))\n"
+        "moments.analyze(states.Tmsv(0.5), quad=QuadratureSpec(order=8))\n"
         "multicopy.multicopy_observable(3, 4)\n"
+        "gauss = wigner.wigner_gaussian(states.tmsv_gaussian(0.5))\n"
+        "wigner.marginal_x(gauss, 0, [0.0, 0.5])\n"
+        "moments.holder_chain_check(gauss)\n"
+        "oracle.riemann_moment(wigner.wigner_analytic(states.Fock(1)), 2)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run(
@@ -439,6 +462,12 @@ def test_default_routes_never_import_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)\]", text, re.S | re.M).group(1)
+    assert re.findall(r'"([A-Za-z0-9_.-]+)', block) == ["numpy"]
 
 
 def test_thread_env_is_applied(monkeypatch, capsys):

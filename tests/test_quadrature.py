@@ -66,7 +66,8 @@ def test_envelope_scale_keeps_exact_results():
         return z[:, 0] ** 2 * np.exp(-(z[:, 0] ** 2))
 
     tight = gauss_hermite_integral(f, env, order=30)
-    wide = gauss_hermite_integral(f, env, order=30, envelope_scale=1.5)
+    # widening the envelope 1.5 times scales its form by 1 / 1.5^2
+    wide = gauss_hermite_integral(f, env.scaled(1.0 / 2.25), order=30)
     assert tight == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-13)
     # widening the weight leaves a residual Gaussian in the transformed
     # integrand; order 30 still nails it

@@ -119,6 +119,25 @@ def test_laguerre_recurrence_matches_exact_values(alpha):
     assert count == 41
 
 
+def test_flat_synthesis_stops_at_the_last_nonzero_entry(monkeypatch):
+    # Fock(1) has one entry, rho[1, 1]: sector 0 needs L_0 and L_1 and every
+    # other sector is empty, whatever the cutoff
+    steps = []
+    laguerre = wigner._laguerre
+
+    def counted(*args):
+        for lag in laguerre(*args):
+            steps.append(lag)
+            yield lag
+
+    monkeypatch.setattr(wigner, "_laguerre", counted)
+    field = wigner.wigner_fock_synthesis(states.fock_state(1, cutoff=171))
+    values = field(np.array([[0.0, 0.0], [0.6, -0.8]]))
+    assert len(steps) <= 2
+    assert values[0] == pytest.approx(-1.0 / PI, rel=1e-14)
+    assert values[1] == pytest.approx((2.0 - 1.0) * math.exp(-1.0) / PI, rel=1e-14)
+
+
 def _kernel_reference(x, p, dim):
     """The kernel loop with its Laguerre recurrence written out."""
     u = x * x + p * p
