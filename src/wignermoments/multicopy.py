@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,50 +53,77 @@ SAFE_BOUNDARY_LEVELS = 2
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """A dense operator on `modes` registers, each truncated at `cutoff`."""
+    """An operator on `modes` registers, each truncated at `cutoff`, stored by sectors.
+
+    Sector s couples the next sizes[s] basis states of `index` (numbered
+    row-major over the registers) among themselves; its block is the next
+    sizes[s]**2 `values`, row-major. Entries outside every sector are 0.
+    """
 
     modes: int
     cutoff: int
-    matrix: np.ndarray
+    index: np.ndarray
+    sizes: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix)
-        side = (self.cutoff + 1) ** self.modes
-        if mat.ndim != 2 or mat.shape != (side, side):
+        index, sizes, side = self.index, self.sizes, self.side
+        if (sizes.sum(), (sizes**2).sum()) != (index.size, self.values.size) or np.any(
+            (index < 0) | (index >= side)
+        ):
             raise InvalidArgumentError(
-                f"operator on {self.modes} mode(s) at cutoff {self.cutoff} "
-                f"needs shape {(side, side)}, got {mat.shape}"
+                f"sector sizes {sizes.tolist()} need {sizes.sum()} indices below {side} and "
+                f"{(sizes**2).sum()} values, got {index.size} and {self.values.size}"
             )
-        object.__setattr__(self, "matrix", mat)
+
+    @classmethod
+    def dense(cls, modes: int, cutoff: int, matrix) -> "TruncatedOperator":
+        """The operator whose entries are the (side, side) `matrix`: one sector."""
+        side = (cutoff + 1) ** modes
+        return cls(modes, cutoff, np.arange(side), np.array([side]), np.ravel(matrix))
 
     @property
     def side(self) -> int:
-        return self.matrix.shape[0]
+        return self.dim**self.modes
 
     @property
     def dim(self) -> int:
         """Per-register dimension cutoff+1."""
         return self.cutoff + 1
 
+    @cached_property
+    def _pairs(self) -> np.ndarray:
+        """Row level * dim + column level, per register and entry of `values`."""
+        occupations = np.indices((self.dim,) * self.modes).reshape(self.modes, -1)
+        pairs = []
+        for states in np.split(self.index, np.cumsum(self.sizes)[:-1]):
+            occ = occupations[:, states]
+            pairs.append((occ[:, :, None] * self.dim + occ[:, None, :]).reshape(self.modes, -1))
+        return np.concatenate(pairs, axis=1)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (side, side) matrix, side^2 entries scattered anew on each access."""
+        shape = (self.dim,) * self.modes
+        rows, cols = (np.ravel_multi_index(lv, shape) for lv in divmod(self._pairs, self.dim))
+        out = np.zeros((self.side, self.side), dtype=np.result_type(float, self.values))
+        out[rows, cols] = self.values
+        return out
+
     def safe_slice(self, levels: int = SAFE_BOUNDARY_LEVELS) -> np.ndarray:
         """Restriction to basis states with every register below cutoff+1-levels."""
-        d = self.dim
-        keep_1d = np.arange(d) <= self.cutoff - levels
-        keep = keep_1d.copy()
-        for _ in range(self.modes - 1):
-            keep = np.kron(keep, keep_1d)
-        idx = np.nonzero(keep)[0]
+        occupations = np.indices((self.dim,) * self.modes).reshape(self.modes, -1)
+        idx = np.nonzero(np.all(occupations <= self.cutoff - levels, axis=0))[0]
         return self.matrix[np.ix_(idx, idx)]
 
     def dump(self, path) -> None:
         """Write side, cutoff and the nonzero entries as row,col,re,im CSV."""
+        mat = self.matrix
         with open(path, "w", newline="\n") as fh:
-            fh.write(f"# side={self.side}\n")
-            fh.write(f"# cutoff={self.cutoff}\n")
-            fh.write("row,col,re,im\n")
-            rows, cols = np.nonzero(self.matrix)
+            fh.write(f"# side={self.side}\n# cutoff={self.cutoff}\nrow,col,re,im\n")
+            rows, cols = np.nonzero(mat)
             for r, c in zip(rows.tolist(), cols.tolist()):
-                v = complex(self.matrix[r, c])
+                v = complex(mat[r, c])
                 fh.write(f"{r},{c},{v.real!r},{v.imag!r}\n")
 
 
@@ -117,10 +145,9 @@ def swap_operator(cutoff: int) -> TruncatedOperator:
         raise InvalidArgumentError("swap_operator needs cutoff >= 1")
     d = cutoff + 1
     mat = np.zeros((d * d, d * d))
-    for m in range(d):
-        for n in range(d):
-            mat[n * d + m, m * d + n] = 1.0
-    return TruncatedOperator(modes=2, cutoff=cutoff, matrix=mat)
+    states = np.arange(d * d)  # |m,n> is state m*d + n
+    mat[(states % d) * d + states // d, states] = 1.0
+    return TruncatedOperator.dense(2, cutoff, mat)
 
 
 def swap_operator_exponential(cutoff: int) -> TruncatedOperator:
@@ -135,7 +162,7 @@ def swap_operator_exponential(cutoff: int) -> TruncatedOperator:
     a1, a2 = _pair_annihilation(cutoff)
     b = (a1 - a2) / math.sqrt(2.0)
     mat = _unitary_from_hermitian(b.conj().T @ b, math.pi)
-    return TruncatedOperator(modes=2, cutoff=cutoff, matrix=mat)
+    return TruncatedOperator.dense(2, cutoff, mat)
 
 
 def swap_quadrature_form(cutoff: int) -> TruncatedOperator:
@@ -152,7 +179,7 @@ def swap_quadrature_form(cutoff: int) -> TruncatedOperator:
     p_rel = -1j * (a1 - a1.conj().T - a2 + a2.conj().T) / math.sqrt(2.0)
     h = x_rel @ x_rel + p_rel @ p_rel - 2.0 * np.eye(a1.shape[0])
     mat = _unitary_from_hermitian(h, math.pi / 4.0)
-    return TruncatedOperator(modes=2, cutoff=cutoff, matrix=mat)
+    return TruncatedOperator.dense(2, cutoff, mat)
 
 
 def displaced_parity(alpha: complex, cutoff: int) -> TruncatedOperator:
@@ -179,16 +206,7 @@ def displaced_parity(alpha: complex, cutoff: int) -> TruncatedOperator:
     disp = _unitary_from_hermitian(h, 1.0)
     parity = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
     mat = (disp * parity) @ disp.conj().T
-    return TruncatedOperator(modes=1, cutoff=cutoff, matrix=mat)
-
-
-def _photon_totals(dim: int, copies: int) -> np.ndarray:
-    """Total photon number of each basis state of `copies` registers."""
-    levels = np.arange(dim)
-    totals = levels
-    for _ in range(copies - 1):
-        totals = (totals[:, None] + levels[None, :]).ravel()
-    return totals
+    return TruncatedOperator.dense(1, cutoff, mat)
 
 
 def multicopy_observable(
@@ -203,14 +221,14 @@ def multicopy_observable(
     Rotating alpha -> alpha e^{i theta} multiplies the entry [r, c] of
     Pi(alpha)^(x)m by e^{i(sum r - sum c) theta}, so the angular integral
     is 2 pi on the entries with sum r = sum c (the photon-number selection
-    rule) and exactly 0 elsewhere. With alpha = t/sqrt(2m) and s = |t|^2
-    the rest is the radial integral of e^{-s} times a polynomial in s of
-    degree <= m*cutoff, taken on the real axis where the kernels are
-    real. alpha_quadrature_order counts the radial Gauss-Laguerre nodes
-    (quadrature.laggauss_cached, the rule of the polar moment path);
-    m*cutoff//2 + 1 of them (the default) make the rule exact, and fewer
-    draw a TruncationWarning. The vacuum comes out at
-    w_m = 1/(m*pi^{m-1}), and for m=2 the whole matrix is SWAP/(2pi).
+    rule), which alone are built, one sector per total, and 0 elsewhere.
+    With alpha = t/sqrt(2m) and s = |t|^2 the rest is the radial integral
+    of e^{-s} times a polynomial in s of degree <= m*cutoff, taken on the
+    real axis where the kernels are real. alpha_quadrature_order counts
+    the radial Gauss-Laguerre nodes (quadrature.laggauss_cached, the rule
+    of the polar moment path); m*cutoff//2 + 1 of them (the default) make
+    the rule exact, and fewer draw a TruncationWarning. The vacuum comes
+    out at w_m = 1/(m*pi^{m-1}), and for m=2 the whole matrix is SWAP/(2pi).
     """
     if m not in (2, 3):
         raise UnsupportedOperationError("multicopy_observable supports m in {2, 3}")
@@ -226,7 +244,7 @@ def multicopy_observable(
     order = alpha_quadrature_order
     if order is None:
         order = exact_order
-    elif not isinstance(order, (int, np.integer)) or order < 1:
+    elif isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
         raise InvalidArgumentError(
             f"alpha order counts radial nodes and must be an int >= 1, got {order!r}"
         )
@@ -241,58 +259,40 @@ def multicopy_observable(
     weights = scaled_weights * np.exp(-nodes)
     # alpha = sqrt(s/(2m)) on the real axis; the kernel wants x = sqrt(2) Re alpha.
     # Pi's entries are the conjugated kernels, which are real there.
-    kernels = fock_kernel_values(
-        np.sqrt(nodes / m), np.zeros(order), d, include_envelope=False
-    ).real
-    # Weighted sum of m-fold outer powers in the per-copy (row, col) layout:
-    # one GEMM, then a transpose regroups (r1,c1,...,rm,cm) into (r1..rm, c1..cm).
-    flat = kernels.reshape(order, d * d)
-    lead = flat
-    for _ in range(m - 2):
-        lead = (lead[:, :, None] * flat[:, None, :]).reshape(order, -1)
-    gram = (weights[:, None] * lead).T @ flat
-    axes = list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))
-    total = np.transpose(gram.reshape((d, d) * m), axes).reshape(side, side)
-    totals = _photon_totals(d, m)
-    total[totals[:, None] != totals[None, :]] = 0.0
+    kernels = fock_kernel_values(np.sqrt(nodes / m), np.zeros(order), d, include_envelope=False)
+    pair_values = np.moveaxis(kernels.real, 0, -1).reshape(d * d, order)  # [r*d + c, k]
     # d^2 alpha = pi ds / (2m) after the angular integral; prefactor 2/pi^m.
-    total *= 1.0 / (m * math.pi ** (m - 1))
-    total = 0.5 * (total + total.T)
-    # complex128 on purpose: multicopy_expectation contracts with complex
-    # density matrices, and a real operator would be upcast on every call.
-    return TruncatedOperator(modes=m, cutoff=cutoff, matrix=total.astype(complex))
-
-
-def _as_density_matrix(rho) -> np.ndarray:
-    if isinstance(rho, FockState):
-        return rho.matrix
-    mat = np.asarray(rho, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InvalidArgumentError("density matrix must be square")
-    return mat
+    scale = 1.0 / (m * math.pi ** (m - 1))
+    totals = np.indices((d,) * m).reshape(m, -1).sum(axis=0)
+    sizes, index = np.bincount(totals), np.argsort(totals, kind="stable")
+    op = TruncatedOperator(m, cutoff, index, sizes, np.empty((sizes**2).sum()))
+    # fill its blocks in place: entry [r, c] is sum_k w_k prod_copies K_k[r_copy, c_copy]
+    ends = np.cumsum(sizes**2)[:-1]
+    for n, pairs, out in zip(sizes, np.split(op._pairs, ends, axis=1), np.split(op.values, ends)):
+        products = np.take(pair_values, pairs[0], axis=0)
+        for more in pairs[1:]:
+            products *= np.take(pair_values, more, axis=0)
+        block = ((products @ weights) * scale).reshape(n, n)
+        out[:] = 0.5 * (block + block.T).ravel()
+    return op
 
 
 def multicopy_expectation(operator: TruncatedOperator, rhos) -> complex:
-    """Tr[(rho_1 x ... x rho_n) O] without materializing the tensor product."""
-    mats = [_as_density_matrix(r) for r in rhos]
-    if len(mats) != operator.modes:
+    """Tr[(rho_1 x ... x rho_n) O] over the stored entries, without forming the tensor product."""
+    d, rhos = operator.dim, list(rhos)
+    if any(isinstance(rho, FockState) and rho.modes != 1 for rho in rhos):
+        raise InvalidArgumentError("each register holds a one-mode state")
+    mats = [np.asarray(getattr(rho, "matrix", rho), dtype=complex) for rho in rhos]
+    if [mat.shape for mat in mats] != [(d, d)] * operator.modes:
         raise InvalidArgumentError(
-            f"operator couples {operator.modes} registers, got {len(mats)} states"
+            f"operator couples {operator.modes} registers of dimension {d}, "
+            f"got states of shapes {[mat.shape for mat in mats]}"
         )
-    d = operator.dim
-    for mat in mats:
-        if mat.shape[0] != d:
-            raise InvalidArgumentError(
-                f"state dimension {mat.shape[0]} does not match register dimension {d}"
-            )
-    n = len(mats)
-    tensor = operator.matrix.reshape((d,) * (2 * n))
-    # Tr[(A x B) O] contracts O[row, col] with A[col_1, row_1] B[col_2, row_2].
-    letters = "abcdefghijkl"
-    rows = letters[:n]
-    cols = letters[n : 2 * n]
-    subs = [rows + cols] + [cols[i] + rows[i] for i in range(n)]
-    return complex(np.einsum(",".join(subs) + "->", tensor, *mats, optimize=True))
+    # Tr[(A x B) O] pairs O[row, col] with A[col_1, row_1] B[col_2, row_2].
+    terms = operator.values
+    for mat, pairs in zip(mats, operator._pairs):
+        terms = terms * mat.T.ravel()[pairs]
+    return complex(terms.sum())
 
 
 def _register_permutations(dim_per_mode: int, copies: int):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from wignermoments.errors import (
     TruncationWarning,
     UnsupportedOperationError,
 )
+from wignermoments.quadrature import laggauss_cached
 
 PI = math.pi
 
@@ -29,7 +31,9 @@ def test_truncated_operator_validation_and_props():
     assert op.side == 16
     assert op.dim == 4
     with pytest.raises(InvalidArgumentError):
-        multicopy.TruncatedOperator(modes=2, cutoff=3, matrix=np.eye(4))
+        multicopy.TruncatedOperator.dense(2, 3, np.eye(4))
+    with pytest.raises(InvalidArgumentError):
+        multicopy.TruncatedOperator(2, 3, np.array([0, 16]), np.array([2]), np.ones(4))
 
 
 def test_safe_slice_keeps_interior_levels():
@@ -220,7 +224,7 @@ def test_multicopy_observable_guards():
         multicopy.multicopy_observable(2, 6, alpha_quadrature_order=6)
 
 
-@pytest.mark.parametrize("bad", [0, -1, 2.5])
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True])
 def test_multicopy_observable_rejects_bad_alpha_order(bad):
     with pytest.raises(InvalidArgumentError):
         multicopy.multicopy_observable(2, 3, alpha_quadrature_order=bad)
@@ -307,6 +311,107 @@ def test_multicopy_expectation_guards():
         multicopy.multicopy_expectation(op, [vac])
     with pytest.raises(InvalidArgumentError):
         multicopy.multicopy_expectation(op, [np.eye(3) / 3.0, vac])
+    # a two-mode state at cutoff 1 has the dimension 4 of one register here
+    noon = states.state_from_spec(states.Noon(1), 1)
+    with pytest.raises(InvalidArgumentError):
+        multicopy.multicopy_expectation(op, [noon, noon])
+
+
+def random_density(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("cutoff", [2, 3, 4])
+def test_expectation_pairs_each_register_with_its_own_state(m, cutoff):
+    # Tr[(rho_1 x ... x rho_m) O] with distinct complex states. O_m and the
+    # SWAP forms are symmetric, so a transposed rho[c, r] gather or swapped
+    # registers only show on operators without that symmetry: displaced
+    # parity, a random dense operator and random blocks on O_m's sectors.
+    rng = np.random.default_rng(10 * m + cutoff)
+    d = cutoff + 1
+    rhos = [random_density(rng, d) for _ in range(m)]
+    o_m = multicopy.multicopy_observable(m, cutoff)
+    noise = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ops = [
+        o_m,
+        multicopy.TruncatedOperator.dense(m, cutoff, noise(d**m, d**m)),
+        multicopy.TruncatedOperator(m, cutoff, o_m.index, o_m.sizes, noise(o_m.values.size)),
+    ]
+    if m == 2:
+        ops += [
+            multicopy.swap_operator(cutoff),
+            multicopy.swap_operator_exponential(cutoff),
+            multicopy.swap_quadrature_form(cutoff),
+        ]
+    for op in ops:
+        want = np.trace(functools.reduce(np.kron, rhos) @ op.matrix)
+        got = multicopy.multicopy_expectation(op, rhos)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+    parity = multicopy.displaced_parity(0.3 - 0.4j, cutoff)
+    want = np.trace(rhos[0] @ parity.matrix)
+    assert abs(multicopy.multicopy_expectation(parity, rhos[:1]) - want) <= 1e-14
+
+
+def dense_reference_observable(m, cutoff):
+    """O_m as one dense GEMM over the radial rule, masked by total photon number.
+
+    The weighted sum of m-fold outer powers of the kernels is one GEMM in the
+    per-copy (row, col) layout; a transpose regroups (r1,c1,...,rm,cm) into
+    (r1..rm, c1..cm), and a side^2 mask zeroes the entries outside the
+    selection rule. This is the build the sector storage replaced.
+    """
+    d = cutoff + 1
+    side = d**m
+    order = m * cutoff // 2 + 1
+    nodes, scaled_weights = laggauss_cached(order)
+    weights = scaled_weights * np.exp(-nodes)
+    kernels = wigner.fock_kernel_values(
+        np.sqrt(nodes / m), np.zeros(order), d, include_envelope=False
+    ).real
+    flat = kernels.reshape(order, d * d)
+    lead = flat
+    for _ in range(m - 2):
+        lead = (lead[:, :, None] * flat[:, None, :]).reshape(order, -1)
+    gram = (weights[:, None] * lead).T @ flat
+    axes = list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))
+    total = np.transpose(gram.reshape((d, d) * m), axes).reshape(side, side)
+    levels = np.arange(d)
+    totals = levels
+    for _ in range(m - 1):
+        totals = (totals[:, None] + levels[None, :]).ravel()
+    total[totals[:, None] != totals[None, :]] = 0.0
+    total *= 1.0 / (m * PI ** (m - 1))
+    return 0.5 * (total + total.T)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("cutoff", range(1, 13))
+def test_sector_build_matches_dense_reference(m, cutoff, tmp_path):
+    op = multicopy.multicopy_observable(m, cutoff)
+    got = op.matrix
+    want = dense_reference_observable(m, cutoff)
+    totals = np.indices((cutoff + 1,) * m).reshape(m, -1).sum(axis=0)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, got.T)
+    assert np.all(got[totals[:, None] != totals[None, :]] == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    # the dump lists the nonzeros of .matrix in row-major (row, col) order;
+    # it and the reference may differ only on roundoff of exactly-zero
+    # entries (O_2 = SWAP/(2 pi) is zero off the permutation)
+    path = tmp_path / "op.csv"
+    op.dump(path)
+    with open(path) as fh:
+        header = [next(fh).rstrip("\n") for _ in range(3)]
+    assert header == [f"# side={got.shape[0]}", f"# cutoff={cutoff}", "row,col,re,im"]
+    table = np.loadtxt(path, delimiter=",", skiprows=3, ndmin=2)
+    rows, cols = table[:, 0].astype(int), table[:, 1].astype(int)
+    assert np.array_equal(np.stack([rows, cols]), np.stack(np.nonzero(got)))
+    assert np.array_equal(table[:, 2], got[rows, cols]) and np.all(table[:, 3] == 0.0)
+    above = lambda mat: np.stack(np.nonzero(np.abs(mat) > 1e-15))
+    assert np.array_equal(above(got), above(want))
 
 
 # ---------------------------------------------------------------------------
