@@ -338,18 +338,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheme",
         default=None,
         help=f"integration rule, one of {', '.join(SCHEME_NAMES)} (default: "
-        "gauss_laguerre_polar for one-mode Fock-basis fields and, without "
-        "--cutoff, for the unsqueezed cores of tmsv, spssv and Gaussians; "
-        "gauss_hermite_tensor for the rest; each at its exact order). An "
-        "explicit --scheme or --order integrates the squeezed field itself",
+        "gauss_laguerre_polar for one- and two-mode Fock-basis fields, NOON "
+        "and any state at a --cutoff included, and, without --cutoff, for the "
+        "unsqueezed cores of tmsv, spssv and Gaussians; gauss_hermite_tensor "
+        "for the rest; each at its exact order). An explicit --scheme or "
+        "--order integrates the squeezed field itself",
     )
     p_analyze.add_argument(
         "--order",
         type=int,
         default=None,
         help="Gauss-Hermite nodes per axis (gauss_hermite_tensor) or radial "
-        "Gauss-Laguerre nodes with twice as many angles (gauss_laguerre_polar); "
-        "alone it selects gauss_hermite_tensor",
+        "Gauss-Laguerre nodes with twice as many angles in each mode "
+        "(gauss_laguerre_polar); alone it selects gauss_hermite_tensor",
     )
     p_analyze.add_argument("--format", choices=("json", "csv"), default="json")
     p_analyze.add_argument("--out", default=None)

@@ -5,13 +5,14 @@ delta = w_2^2 - w_3 > 0 certifies negativity. The converse direction does
 not hold (some negative-W states still have delta <= 0), hence the verdicts
 are NegativityCertified / Inconclusive, never "positive".
 
-The default integration path is exact for every catalog state. One-mode
-fields built from angular sectors (Fock, the 0/1 mixture, one-mode Fock
-synthesis, and their dilations) take the polar Gauss-Laguerre rule; every
-other field folds its Gaussian envelope (times m) into a Gauss-Hermite
-tensor weight. An explicit QuadratureSpec picks the scheme and order
-instead. The independent cross-checks live in oracle: a midpoint rule on a
-box and the rational closed forms.
+The default integration path is exact for every catalog state. Fields
+built from per-mode Fock-basis factors (Fock, the 0/1 mixture, NOON, one-
+and two-mode Fock synthesis, and their dilations) take the polar
+Gauss-Laguerre rule in each mode; every other field folds its Gaussian
+envelope (times m) into a Gauss-Hermite tensor weight. An explicit
+QuadratureSpec picks the scheme and order instead. The independent
+cross-checks live in oracle: a midpoint rule on a box and the rational
+closed forms.
 
 w_m is invariant under a symplectic map W(z) -> W(S^-1 z + d), det S = 1
 (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)). So analyze, with no
@@ -91,11 +92,12 @@ EXACT_ORDERS = {"gauss_hermite_tensor": exactness_order, "gauss_laguerre_polar":
 
 
 def _takes_polar(field: WignerField) -> bool:
-    return field.modes == 1 and field.separable and field.envelope.polar_scale() is not None
+    return field.separable and field.envelope.polar_scale() is not None
 
 
 def default_quadrature(field: WignerField, m: int) -> QuadratureSpec:
-    """The exact rule for W^m: polar for one-mode sector fields, else tensor."""
+    """The exact rule for W^m: polar for fields built from per-mode Fock-basis
+    factors (one or two modes), else tensor."""
     if _takes_polar(field):
         return QuadratureSpec(scheme="gauss_laguerre_polar", order=polar_order(field, m))
     return QuadratureSpec(order=exactness_order(field, m))
@@ -121,15 +123,10 @@ def moment(field: WignerField, m: int, quad: QuadratureSpec | None = None) -> fl
         return _power(field.evaluate(z), m)
 
     if quad.scheme == "gauss_hermite_tensor":
-        return gauss_hermite_integral(
-            integrand,
-            field.envelope.scaled(m),
-            quad.order,
-            separable=field.separable,
-        )
+        return gauss_hermite_integral(integrand, field.envelope.scaled(m), quad.order)
     if not _takes_polar(field):
         raise UnsupportedOperationError(
-            "gauss_laguerre_polar supports one-mode Fock-basis fields"
+            "gauss_laguerre_polar supports one- and two-mode Fock-basis fields"
         )
     return polar_integral(integrand, field.envelope.scaled(m), quad.order)
 

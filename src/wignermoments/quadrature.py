@@ -12,24 +12,22 @@ the per-axis weights (w_i e^{t_i^2} is O(node spacing), so no overflow), and
 whenever f is polynomial-times-envelope the rule is exact once the per-axis
 order exceeds half the polynomial degree.
 
-When Q has no entry coupling mode 1 (x_1, p_1) to mode 2 (x_2, p_2), the
-4-D rule is exactly the product of two per-mode 2-D rules, and an integrand
-that accepts a ModeGrid is evaluated on per-mode node sets as an (n1, n2)
-block instead of on flattened points.
-
-A one-mode field with an isotropic, centred envelope lam * I has a second,
-smaller exact rule: W^m is e^{-s} times a polynomial in s = m lam |z|^2 and
-a trigonometric polynomial in the angle, so Gauss-Laguerre nodes in s and
-an equispaced trapezoid in the angle integrate it exactly (polar_integral).
-An integrand that accepts a PolarGrid returns its (radii, angles) block.
+A field with an isotropic, centred envelope lam * I in one or two modes has
+a second, smaller exact rule: in each mode W^m is e^{-s} times a polynomial
+in s = m lam |z|^2 and a trigonometric polynomial in the angle, so
+Gauss-Laguerre nodes in s and an equispaced trapezoid in the angle integrate
+it exactly (polar_integral). A one-mode integrand that accepts a PolarGrid
+returns its (radii, angles) block. In two modes the rule is the product of
+the per-mode rule with itself: the integrand accepts a ModeGrid of per-mode
+node sets and returns its (n1, n2) block.
 
 uniform_grid_integral, a midpoint rule on a box, serves the independent
 oracle.riemann_moment; it walks its grid in the same blocks as the
 Gauss-Hermite rule. Every rule here needs numpy alone.
 
 Summation is deterministic: fixed chunking over the leading axis (mode-1
-rows on the product rule), fixed-order sums inside a chunk, math.fsum
-across chunk partials.
+rows on the two-mode polar rule), fixed-order sums inside a chunk,
+math.fsum across chunk partials.
 """
 
 from __future__ import annotations
@@ -63,16 +61,18 @@ __all__ = [
 
 # gauss_hermite_tensor: per-axis Gauss-Hermite nodes against the envelope,
 #   any mode count; order counts nodes per axis.
-# gauss_laguerre_polar: one-mode fields with an isotropic, centred envelope;
-#   order counts radial Gauss-Laguerre nodes, with twice as many angles.
+# gauss_laguerre_polar: one- and two-mode fields with an isotropic, centred
+#   envelope; order counts radial Gauss-Laguerre nodes per mode, with twice
+#   as many angles.
 SCHEMES = ("gauss_hermite_tensor", "gauss_laguerre_polar")
 
 # Cap on tensor-product node counts (64 GH points per axis in 4 dims is
-# 16.8M nodes, ~0.5 GB of transient blocks at the default chunking).
+# 16.8M nodes, ~0.5 GB of transient blocks at the default chunking); the
+# two-mode polar rule, (order * 2 * order)^2 nodes, meets the same cap.
 MAX_TENSOR_NODES = 40_000_000
 BLOCK_NODES = 262_144
 
-# Cap on polar nodes (order radii times 2 * order angles): the polar rule
+# Cap on one-mode polar nodes (order radii times 2 * order angles): that rule
 # evaluates its whole grid in one call, so this bounds its largest block
 # (4M nodes: 32 MB per real array, 64 MB for a complex spectrum).
 MAX_POLAR_NODES = 4_000_000
@@ -111,12 +111,16 @@ class GaussianEnvelope:
         return self.center.size == 4 and not np.any(self.form[np.ix_(*MODE_AXES)])
 
     def polar_scale(self) -> float | None:
-        """lam for a one-mode form lam * I centred at 0 (the polar rule's
-        envelope), None for any other envelope."""
-        if self.center.size != 2 or self.center.any():
+        """lam for a form lam * I centred at 0 (the polar rule's envelope),
+        None for any other envelope."""
+        if self.center.any():
             return None
-        (lam, b), (c, d) = self.form.tolist()
-        return lam if lam > 0.0 and d == lam and b == 0.0 == c else None
+        rows = self.form.tolist()
+        lam = rows[0][0]
+        isotropic = all(
+            v == (lam if i == j else 0.0) for i, row in enumerate(rows) for j, v in enumerate(row)
+        )
+        return lam if lam > 0.0 and isotropic else None
 
     def combine(self, other: "GaussianEnvelope") -> "GaussianEnvelope":
         """Envelope of a product of two Gaussian-decaying factors.
@@ -146,10 +150,6 @@ class ModeGrid:
     # c * grid scales the coordinates instead of broadcasting over the object
     __array_ufunc__ = None
 
-    @property
-    def shape(self) -> tuple:
-        return (self.x1.size, self.x2.size)
-
     def __len__(self) -> int:
         return self.x1.size * self.x2.size
 
@@ -157,16 +157,6 @@ class ModeGrid:
         return ModeGrid(c * self.x1, c * self.p1, c * self.x2, c * self.p2)
 
     __rmul__ = __mul__
-
-    def points(self) -> np.ndarray:
-        """The grid as an (n1 * n2, 4) array of points, mode-1 index slowest."""
-        n1, n2 = self.shape
-        z = np.empty((n1, n2, 4))
-        z[:, :, 0] = self.x1[:, None]
-        z[:, :, 1] = self.x2[None, :]
-        z[:, :, 2] = self.p1[:, None]
-        z[:, :, 3] = self.p2[None, :]
-        return z.reshape(n1 * n2, 4)
 
 
 @dataclass(frozen=True)
@@ -230,9 +220,9 @@ class QuadratureSpec:
 
     gauss_hermite_tensor takes order Gauss-Hermite nodes per axis against
     the field's envelope, for any mode count. gauss_laguerre_polar takes
-    order radial Gauss-Laguerre nodes and 2 * order angles, for one-mode
-    fields with an isotropic, centred envelope. Both are exact once the
-    order reaches that of moments.default_quadrature.
+    order radial Gauss-Laguerre nodes and 2 * order angles in each mode, for
+    one- and two-mode fields with an isotropic, centred envelope. Both are
+    exact once the order reaches that of moments.default_quadrature.
     """
 
     scheme: str = "gauss_hermite_tensor"
@@ -378,45 +368,14 @@ def _substitute(chol: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.linalg.solve(chol.T, t.T).T
 
 
-def _mode_rule(center: np.ndarray, chol: np.ndarray, order: int, axes):
-    """One mode's order^2-node rule: node coordinates x, p and weights.
-
-    z = center + L^{-T} t is back-substituted by hand for the 2x2 factor:
-    the threaded BLAS solve takes milliseconds for this much work, and it
-    differs from these values in the last bits, which the pinned NOON and
-    two-mode moments keep.
-    """
-    t, w = _node_tensor(order, 2)
-    (l00, _), (l10, l11) = chol
-    p = t[:, 1] / l11
-    x = (t[:, 0] - l10 * p) / l00
-    return center[axes[0]] + x, center[axes[1]] + p, w
-
-
-def gauss_hermite_integral(
-    f,
-    envelope: GaussianEnvelope,
-    order: int,
-    *,
-    separable: bool = False,
-) -> float:
+def gauss_hermite_integral(f, envelope: GaussianEnvelope, order: int) -> float:
     """integral f(z) dz for f decaying like the given Gaussian envelope.
 
     f maps an (n, dims) array of points to n values. Exact when
     f(z) e^{(z-c)^T Q (z-c)} is a polynomial of per-axis degree < 2 * order.
-
-    separable declares that f also accepts a ModeGrid and then returns its
-    (n1, n2) block of values. The integral then runs on the product of the
-    two per-mode rules whenever the envelope does not couple the modes; a
-    coupled envelope keeps the flattened points.
     """
-    form = envelope.form
     dims = envelope.center.size
-    if separable and envelope.separates_modes():
-        chols = [_cholesky(form[np.ix_(axes, axes)]) for axes in MODE_AXES]
-        _check_size("tensor rule", order, dims)
-        return _product_integral(f, envelope.center, chols, order)
-    chol = _cholesky(form)
+    chol = _cholesky(envelope.form)
     _check_size("tensor rule", order, dims)
     jac = 1.0 / float(np.prod(np.diag(chol)))
     t, wt = hermgauss_cached(order)
@@ -431,46 +390,57 @@ def gauss_hermite_integral(
     return jac * math.fsum(partials)
 
 
-def _product_integral(f, center: np.ndarray, chols, order: int) -> float:
-    """The 4-D rule as the product of per-mode rules, chunked over mode-1 rows."""
-    x1, p1, w1 = _mode_rule(center, chols[0], order, MODE_AXES[0])
-    x2, p2, w2 = _mode_rule(center, chols[1], order, MODE_AXES[1])
-    jac = 1.0 / float(np.prod([np.diag(chol) for chol in chols]))
-    rows = max(1, BLOCK_NODES // x2.size)
+def _product_integral(f, x: np.ndarray, p: np.ndarray, w: np.ndarray) -> float:
+    """The 4-D rule on every pairing of the node set (x, p, w) in mode 1 with
+    the same set in mode 2, chunked over mode-1 rows."""
+    rows = max(1, BLOCK_NODES // x.size)
     partials = []
-    for start in range(0, x1.size, rows):
+    for start in range(0, x.size, rows):
         sl = slice(start, start + rows)
-        block = np.asarray(f(ModeGrid(x1[sl], p1[sl], x2, p2)), dtype=float)
+        block = np.asarray(f(ModeGrid(x[sl], p[sl], x, p)), dtype=float)
         # numpy reductions, not BLAS: a threaded gemv here leaves the BLAS
         # pool spinning into the single-threaded work that follows
-        partials.append(float(np.sum(w1[sl] * np.sum(block * w2, axis=1))))
-    return jac * math.fsum(partials)
+        partials.append(float(np.sum(w[sl] * np.sum(block * w, axis=1))))
+    return math.fsum(partials)
 
 
 def polar_integral(f, envelope: GaussianEnvelope, order: int) -> float:
-    """integral f(z) dz over the (x, p) plane for f ~ e^{-lam |z|^2} poly(z).
+    """integral f(z) dz over phase space for f ~ e^{-lam |z|^2} poly(z) in
+    one or two modes.
 
-    The envelope must be lam * I with centre 0. With s = lam |z|^2 the rule
-    takes `order` Gauss-Laguerre nodes in s and a 2 * order trapezoid in the
-    angle, and calls f once, on their PolarGrid. It is exact when f e^{s} is
-    a trigonometric polynomial of degree < 2 * order in the angle whose
-    angular mean is a polynomial of degree < 2 * order in s; for W^m of a
-    field of polynomial degree D both hold from order m * D // 4 + 1.
+    The envelope must be lam * I with centre 0. With s = lam |z|^2 per mode
+    the rule takes `order` Gauss-Laguerre nodes in s and a 2 * order
+    trapezoid in the angle. One mode calls f once, on their PolarGrid; two
+    modes flatten them into one per-mode node set and call f on ModeGrid
+    row blocks of its pairings with itself. The rule is exact when, in each
+    mode, f e^{s} is a trigonometric polynomial of degree < 2 * order in the
+    angle whose angular mean is a polynomial of degree < 2 * order in s; for
+    W^m of a field of per-mode polynomial degree D both hold from order
+    m * D // 4 + 1.
     """
     lam = envelope.polar_scale()
-    if lam is None:
+    if lam is None or envelope.center.size not in (2, 4):
         raise UnsupportedOperationError(
-            "the polar rule needs a one-mode envelope lam * I centred at 0"
+            "the polar rule needs a one- or two-mode envelope lam * I centred at 0"
         )
+    two_modes = envelope.center.size == 4
     n_theta = 2 * order
-    if order * n_theta > MAX_POLAR_NODES:
+    if two_modes:
+        _check_size("polar product rule", order * n_theta, 2)
+    elif order * n_theta > MAX_POLAR_NODES:
         raise SizeLimitError(
             f"polar rule with {order * n_theta} nodes exceeds cap {MAX_POLAR_NODES}"
         )
     s, ws = laggauss_cached(order)
-    values = np.asarray(f(PolarGrid.equispaced(np.sqrt(s / lam), n_theta)), dtype=float)
-    # dx dp = ds dtheta / (2 lam), and the trapezoid weight is 2 pi / n_theta
-    return math.pi / (lam * n_theta) * float(np.sum(ws * np.sum(values, axis=1)))
+    grid = PolarGrid.equispaced(np.sqrt(s / lam), n_theta)
+    # dx dp = ds dtheta / (2 lam) per mode, and the trapezoid weight is 2 pi / n_theta
+    scale = math.pi / (lam * n_theta)
+    if two_modes:
+        x = np.outer(grid.r, np.cos(grid.theta)).ravel()
+        p = np.outer(grid.r, np.sin(grid.theta)).ravel()
+        return scale * scale * _product_integral(f, x, p, np.repeat(ws, n_theta))
+    values = np.asarray(f(grid), dtype=float)
+    return scale * float(np.sum(ws * np.sum(values, axis=1)))
 
 
 def uniform_grid_integral(

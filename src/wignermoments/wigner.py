@@ -1,10 +1,11 @@
 """Wigner function evaluators, marginals, and Weyl symbols.
 
 Every evaluator is wrapped in a WignerField carrying its Gaussian decay
-envelope and the polynomial degree of W * exp(+envelope), which is what
-makes the Gauss-Hermite moment path exact. The catalog closed forms
-were derived from the kets in the x = (a + a^dag)/sqrt(2) convention with
-transform normalization 1/(2 pi)^k, so the vacuum is W = (1/pi) e^{-x^2-p^2}.
+envelope and the per-mode polynomial degree of W * exp(+envelope), which
+is what makes the Gauss-Hermite and polar moment rules exact. The catalog
+closed forms were derived from the kets in the x = (a + a^dag)/sqrt(2)
+convention with transform normalization 1/(2 pi)^k, so the vacuum is
+W = (1/pi) e^{-x^2-p^2}.
 """
 
 from __future__ import annotations
@@ -74,9 +75,10 @@ class WignerField:
     """A Wigner function with its decay envelope.
 
     evaluate maps an (n, 2 * modes) array of phase-space points (ordered
-    x_1..x_k, p_1..p_k) to n real values. polynomial_degree is the total
-    degree of the polynomial W * exp(+(z - c)^T Q (z - c)). separable marks
-    a field whose evaluate also accepts its product grid and returns the
+    x_1..x_k, p_1..p_k) to n real values. polynomial_degree is the degree
+    of the polynomial W * exp(+(z - c)^T Q (z - c)) in one mode's
+    coordinates (x_i, p_i), the largest over the modes. separable marks a
+    field whose evaluate also accepts its product grid and returns the
     block of values there: a ModeGrid, (n1, n2), for a two-mode field built
     from per-mode factors (NOON, Fock synthesis), whose envelope never
     couples the modes; a PolarGrid, (radii, angles), for a one-mode field
@@ -186,11 +188,7 @@ def _noon_field(spec: Noon) -> WignerField:
     # cross term split into its real and imaginary products.
     N = spec.N
     diag_scale = (-1.0) ** N / (2.0 * math.pi**2)
-    try:
-        cross_scale = 2.0**N / (math.pi**2 * math.gamma(N + 1))
-    except OverflowError:  # N! leaves the float range from N = 171
-        cross_scale = math.exp(N * math.log(2.0) - math.lgamma(N + 1.0)) / math.pi**2
-    cross_phase = cross_scale * np.exp(-1j * spec.phi)
+    cross_phase = _coupling(N) ** 2 / math.pi**2 * np.exp(-1j * spec.phi)
 
     def factors(x, p, sign, phase):
         u = x * x + p * p
@@ -543,7 +541,7 @@ def wigner_fock_synthesis(state: FockState, label: str | None = None) -> WignerF
         modes=k,
         evaluate=evaluate,
         envelope=GaussianEnvelope(np.eye(2 * k), np.zeros(2 * k)),
-        polynomial_degree=2 * state.cutoff * k,
+        polynomial_degree=2 * state.cutoff,
         label=label or f"fock_synthesis(k={k},cutoff={state.cutoff})",
         separable=True,
     )
@@ -677,8 +675,9 @@ def expectation_phase_space(field: WignerField, A, order: int | None = None) -> 
 
     A is a single Hermitian matrix for k = 1, or a sequence of per-mode
     Hermitian factors for k = 2 (the field's envelope must then not couple
-    the modes, which holds for NOON and synthesis-based fields). Exact for
-    polynomial-degree fields and truncated operators.
+    the modes, which holds for NOON and synthesis-based fields). Both run on
+    the Gauss-Hermite tensor rule, exact for polynomial-degree fields and
+    truncated operators.
     """
     if field.modes == 1:
         A = np.asarray(A, dtype=complex)
@@ -716,17 +715,12 @@ def expectation_phase_space(field: WignerField, A, order: int | None = None) -> 
             deg_a = 2 * (a1.shape[0] - 1) + 2 * (a2.shape[0] - 1)
             order = max(8, (field.polynomial_degree + deg_a) // 2 + 3)
 
-        def integrand(grid):
-            # the uncoupled envelope puts the rule on per-mode node sets
-            if field.separable:
-                w = field.evaluate(grid)
-            else:
-                w = field.evaluate(grid.points()).reshape(grid.shape)
-            s1 = _symbol_factor_real(a1, grid.x1, grid.p1)
-            s2 = _symbol_factor_real(a2, grid.x2, grid.p2)
-            return w * s1[:, None] * s2[None, :]
+        def integrand(z):
+            s1 = _symbol_factor_real(a1, z[:, 0], z[:, 2])
+            s2 = _symbol_factor_real(a2, z[:, 1], z[:, 3])
+            return field.evaluate(z) * s1 * s2
 
-        return gauss_hermite_integral(integrand, env, order, separable=True)
+        return gauss_hermite_integral(integrand, env, order)
 
     raise UnsupportedOperationError("expectation supports 1 or 2 modes")
 

@@ -127,7 +127,9 @@ def test_explicit_rule_still_integrates_the_squeezed_field(monkeypatch, r):
 def test_cutoff_and_invalid_gaussians_keep_their_routes():
     report = moments.analyze(states.Tmsv(0.05), cutoff=3)
     assert report.cutoff == 3
-    assert report.quadrature.scheme == "gauss_hermite_tensor"
+    # the two-mode synthesis field's own rule, not the core's order-1 factors
+    field, _ = moments.field_for(states.Tmsv(0.05), 3)
+    assert report.quadrature == QuadratureSpec(POLAR, moments.polar_order(field, 3))
     gauss = states.GaussianCustom.from_arrays(np.zeros(2), np.eye(2) / 2)
     with pytest.raises(InvalidArgumentError):
         moments.analyze(gauss, cutoff=3)

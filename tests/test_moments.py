@@ -64,10 +64,12 @@ def test_fock_w3_against_exact_closed_forms():
 
 
 def test_noon_w3_against_exact_closed_forms():
-    for n in range(1, 6):
-        got = moments.moment(field_of(states.Noon(n)), 3)
-        expect = oracle.noon_closed_form_moment(n, 3)
-        assert got == pytest.approx(expect, rel=1e-9), f"N={n}"
+    for n in range(1, 11):
+        for m in (2, 3):
+            got = moments.moment(field_of(states.Noon(n)), m)
+            expect = oracle.noon_closed_form_moment(n, m)
+            assert abs(got - expect) <= 1e-14, f"N={n} m={m}"
+            assert got == pytest.approx(expect, rel=1e-9), f"N={n} m={m}"
 
 
 def _flat_reference(field, m, order):

@@ -1,4 +1,4 @@
-"""The polar Gauss-Laguerre rule for one-mode Fock-basis fields."""
+"""The polar Gauss-Laguerre rule for one- and two-mode Fock-basis fields."""
 
 import dataclasses
 import math
@@ -16,6 +16,7 @@ from wignermoments.errors import (
 )
 from wignermoments.quadrature import (
     MAX_POLAR_NODES,
+    MAX_TENSOR_NODES,
     PolarGrid,
     QuadratureSpec,
     laggauss_cached,
@@ -101,23 +102,26 @@ def test_laguerre_rule_nodes_are_roots():
         (states.MixedFock01(0.3), None),
         (states.Fock(3), 5),
         (states.MixedFock01(0.3), 2),
-        (states.Noon(1), 1),  # two-mode at a cutoff: tensor
+        (states.Noon(1), 1),  # two-mode at a cutoff
+        (states.Noon(3), None),
         (states.FockCustom.from_matrix(np.diag([0.25, 0.75])), None),
+        (states.FockCustom.from_matrix(np.diag([0.1, 0.2, 0.3, 0.4]), modes=2), None),
     ],
     ids=str,
 )
 def test_default_route_follows_the_field(spec, cutoff):
     rep = moments.analyze(spec, cutoff=cutoff)
-    polar = states.spec_modes(spec) == 1
-    assert rep.quadrature.scheme == (POLAR if polar else "gauss_hermite_tensor")
-    if polar:
-        field, _ = moments.field_for(spec, cutoff)
-        assert rep.quadrature.order == moments.polar_order(field, 3)
+    field, _ = moments.field_for(spec, cutoff)
+    assert rep.quadrature == QuadratureSpec(POLAR, moments.polar_order(field, 3))
     assert rep.exactness_warning is False
 
 
-def test_noon_stays_on_the_tensor_rule_and_symplectic_cores_take_the_polar_rule():
-    assert moments.analyze(states.Noon(2)).quadrature.scheme == "gauss_hermite_tensor"
+def test_noon_and_symplectic_cores_take_the_polar_rule():
+    noon = wigner.wigner_analytic(states.Noon(2))
+    for field in (noon, wigner.dilate(noon, 0.5)):
+        want = QuadratureSpec(POLAR, moments.polar_order(field, 3))
+        assert moments.default_quadrature(field, 3) == want
+    assert moments.analyze(states.Noon(2)).quadrature.scheme == POLAR
     gauss = states.GaussianCustom.from_arrays(np.zeros(2), np.eye(2) / 2)
     for spec in (states.Tmsv(0.4), states.Spssv(0.4, 1), gauss):
         assert moments.analyze(spec).quadrature.scheme == POLAR
@@ -139,11 +143,11 @@ def test_explicit_tensor_spec_is_honoured():
 
 def test_polar_scheme_refuses_other_fields():
     quad = QuadratureSpec(scheme=POLAR, order=8)
-    noon = wigner.wigner_analytic(states.Noon(1))
+    tmsv = wigner.wigner_analytic(states.Tmsv(0.3))
     gauss = wigner.wigner_gaussian(
         states.state_from_spec(states.GaussianCustom.from_arrays([0.3, 0.0], np.eye(2) / 2))
     )
-    for field in (noon, gauss):
+    for field in (tmsv, gauss):
         with pytest.raises(UnsupportedOperationError):
             moments.moment(field, 2, quad)
 
@@ -213,6 +217,14 @@ def test_large_cutoffs_stay_finite_and_exact(c):
             for m in (1, 2, 3):
                 assert _rel(rep.moments[m], exact(states.Fock(n), m)) <= 1e-12, (n, c, m)
             assert math.isfinite(rep.est_error)
+
+
+@pytest.mark.parametrize("spec, cutoff", [(states.Spssv(0.5), 16), (states.Noon(3), 12)], ids=str)
+def test_two_mode_synthesis_runs_past_the_tensor_cap(spec, cutoff):
+    # the tensor rule's doubled pass refused two-mode synthesis from cutoff 7 on
+    rep = moments.analyze(spec, cutoff=cutoff)
+    purity = oracle.trace_power(states.state_from_spec(spec, cutoff), 2)
+    assert _rel(rep.moments[2], purity / (2.0 * math.pi) ** 2) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +297,17 @@ def test_size_cap_refuses_before_building_the_rule():
     assert seen == []
 
 
+def test_two_mode_size_cap_refuses_before_building_the_rule():
+    # (order * 2 order)^2 nodes: the smallest order past MAX_TENSOR_NODES
+    order = math.isqrt(math.isqrt(MAX_TENSOR_NODES) // 2) + 1
+    field, seen = _recording(wigner.wigner_analytic(states.Noon(1)))
+    before = laggauss_cached.cache_info()
+    with pytest.raises(SizeLimitError):
+        moments.moment(field, 2, QuadratureSpec(scheme=POLAR, order=order))
+    assert laggauss_cached.cache_info() == before
+    assert seen == []
+
+
 def test_sector_cap_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(wigner, "MAX_SECTOR_BYTES", 1000)
     field = wigner.wigner_fock_synthesis(states.fock_state(2, cutoff=40))
@@ -306,11 +329,19 @@ def test_cli_polar_scheme(capsys):
     report = moments.read_report(capsys.readouterr().out)
     assert (report.quadrature.scheme, report.quadrature.order) == (POLAR, 4)
     assert report.verdict == moments.CERTIFIED
-    assert cli.main(["analyze", "--state", "noon", "--N", "1", "--scheme", POLAR]) == 2
+    assert cli.main(["analyze", "--state", "tmsv", "--r", "0.3", "--scheme", POLAR]) == 2
     assert "gauss_laguerre_polar supports" in capsys.readouterr().err
 
 
 def test_cli_polar_size_cap_exit_code(capsys):
     argv = ["analyze", "--state", "fock", "--n", "1", "--scheme", POLAR, "--order", "5000"]
     assert cli.main(argv) == 4
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_two_mode_reach_and_size_cap_exit_codes(capsys):
+    assert cli.main(["analyze", "--state", "spssv", "--r", "0.3", "--cutoff", "9"]) == 0
+    report = moments.read_report(capsys.readouterr().out)
+    assert (report.quadrature.scheme, report.cutoff) == (POLAR, 9)
+    assert cli.main(["analyze", "--state", "noon", "--N", "171"]) == 4
     assert capsys.readouterr().out == ""

@@ -147,7 +147,7 @@ def test_large_tensor_rejected():
     env = GaussianEnvelope(np.eye(4), np.zeros(4))
     with pytest.raises(SizeLimitError):
         gauss_hermite_integral(lambda z: np.ones(z.shape[0]), env, order=100)
-    # fields integrated on per-mode node sets meet the same cap on order^4
+    # an explicit tensor rule on the per-mode factor fields meets the same cap
     noon = wigner.wigner_analytic(states.Noon(2))
     synth = wigner.wigner_fock_synthesis(states.state_from_spec(states.Noon(1), 2))
     for field in (noon, synth):

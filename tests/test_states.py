@@ -280,7 +280,7 @@ def test_family_table_agrees_with_fields_and_states(name):
     assert built.modes == modes
     # the cutoff selected the synthesis field of the built state
     assert used == built.cutoff == cutoff
-    assert synth.polynomial_degree == 2 * cutoff * modes
+    assert synth.polynomial_degree == 2 * cutoff  # per mode
     assert moments.field_for(spec, None)[1] is None
 
 
