@@ -117,26 +117,29 @@ def _state_spec(args):
     return spec_cls(**kwargs)
 
 
-def _quad_spec(args):
+def _quad_spec(args, spec):
+    """The rule of --scheme/--order: a scheme alone runs at its exact order
+    for the field (moments.EXACT_ORDERS), an order alone on the tensor rule."""
+    from . import moments
     from .quadrature import QuadratureSpec
 
-    scheme = getattr(args, "scheme", None)
-    order = getattr(args, "order", None)
-    if scheme is None and order is None:
+    if args.scheme is None and args.order is None:
         return None
-    kwargs = {}
-    if scheme is not None:
-        kwargs["scheme"] = scheme
-    if order is not None:
-        kwargs["order"] = order
-    return QuadratureSpec(**kwargs)
+    if args.scheme is None:
+        return QuadratureSpec(order=args.order)
+    if args.order is not None:
+        return QuadratureSpec(args.scheme, args.order)
+    QuadratureSpec(scheme=args.scheme)  # an unknown name is a usage error
+    field, _ = moments.field_for(spec, args.cutoff)
+    # the order analyze checks exactness against: that of W^3
+    return QuadratureSpec(args.scheme, moments.EXACT_ORDERS[args.scheme](field, 3))
 
 
 def cmd_analyze(args) -> int:
     from . import moments
 
     spec = _state_spec(args)
-    report = moments.analyze(spec, quad=_quad_spec(args), cutoff=args.cutoff)
+    report = moments.analyze(spec, quad=_quad_spec(args, spec), cutoff=args.cutoff)
     if args.format == "csv":
         lines = [
             "param,w2,w3,delta,verdict",
@@ -231,11 +234,11 @@ def cmd_grid(args) -> int:
         field, _ = moments.field_for(spec, args.cutoff)
     gspec = GridSpec(half_width=args.half_width, points_per_axis=args.points)
     xs, ps, values = wigner.wigner_grid(field, gspec)
-    lines = ["x,p,w"]
-    for i, x in enumerate(xs):
-        for j, p in enumerate(ps):
-            lines.append(f"{_fmt(float(x))},{_fmt(float(p))},{_fmt(float(values[i, j]))}")
-    _emit("\n".join(lines) + "\n", args.out)
+    # the repr of each value as a Python float, as _fmt gives it, taken once
+    ps_text = list(map(repr, ps.tolist()))
+    coords = (f"{x},{p}" for x in map(repr, xs.tolist()) for p in ps_text)
+    rows = map(",".join, zip(coords, map(repr, values.ravel().tolist())))
+    _emit("x,p,w\n" + "\n".join(rows) + "\n", args.out)
     return 0
 
 
@@ -342,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
         "and any state at a --cutoff included, and, without --cutoff, for the "
         "unsqueezed cores of tmsv, spssv and Gaussians; gauss_hermite_tensor "
         "for the rest; each at its exact order). An explicit --scheme or "
-        "--order integrates the squeezed field itself",
+        "--order integrates the squeezed field itself; --scheme without "
+        "--order runs the named rule at its exact order for the field",
     )
     p_analyze.add_argument(
         "--order",
@@ -350,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="Gauss-Hermite nodes per axis (gauss_hermite_tensor) or radial "
         "Gauss-Laguerre nodes with twice as many angles in each mode "
-        "(gauss_laguerre_polar); alone it selects gauss_hermite_tensor",
+        "(gauss_laguerre_polar); alone it selects gauss_hermite_tensor "
+        "(default: the exact order of the rule)",
     )
     p_analyze.add_argument("--format", choices=("json", "csv"), default="json")
     p_analyze.add_argument("--out", default=None)

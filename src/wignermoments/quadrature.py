@@ -16,10 +16,13 @@ A field with an isotropic, centred envelope lam * I in one or two modes has
 a second, smaller exact rule: in each mode W^m is e^{-s} times a polynomial
 in s = m lam |z|^2 and a trigonometric polynomial in the angle, so
 Gauss-Laguerre nodes in s and an equispaced trapezoid in the angle integrate
-it exactly (polar_integral). A one-mode integrand that accepts a PolarGrid
-returns its (radii, angles) block. In two modes the rule is the product of
-the per-mode rule with itself: the integrand accepts a ModeGrid of per-mode
-node sets and returns its (n1, n2) block.
+it exactly (polar_power_integrals, which takes the field and the powers m).
+A one-mode field that accepts a PolarGrid returns its (radii, angles)
+block; the rules of all powers share their angles, so their radii are
+stacked into one grid and the field is evaluated once for all of them. In
+two modes the rule is the product of the per-mode rule with itself: the
+field accepts a ModeGrid of per-mode node sets and returns its (n1, n2)
+block, one pass per power.
 
 uniform_grid_integral, a midpoint rule on a box, serves the independent
 oracle.riemann_moment; it walks its grid in the same blocks as the
@@ -55,7 +58,7 @@ __all__ = [
     "gauss_hermite_integral",
     "hermgauss_cached",
     "laggauss_cached",
-    "polar_integral",
+    "polar_power_integrals",
     "uniform_grid_integral",
 ]
 
@@ -404,19 +407,36 @@ def _product_integral(f, x: np.ndarray, p: np.ndarray, w: np.ndarray) -> float:
     return math.fsum(partials)
 
 
-def polar_integral(f, envelope: GaussianEnvelope, order: int) -> float:
-    """integral f(z) dz over phase space for f ~ e^{-lam |z|^2} poly(z) in
-    one or two modes.
+def _power(values, m: int):
+    """values ** m by repeated multiplication: numpy sends ** 3 to libm pow,
+    which is 10-25x slower on values of mixed sign."""
+    out = values
+    for _ in range(m - 1):
+        out = out * values
+    return out
 
-    The envelope must be lam * I with centre 0. With s = lam |z|^2 per mode
-    the rule takes `order` Gauss-Laguerre nodes in s and a 2 * order
-    trapezoid in the angle. One mode calls f once, on their PolarGrid; two
-    modes flatten them into one per-mode node set and call f on ModeGrid
-    row blocks of its pairings with itself. The rule is exact when, in each
-    mode, f e^{s} is a trigonometric polynomial of degree < 2 * order in the
-    angle whose angular mean is a polynomial of degree < 2 * order in s; for
-    W^m of a field of per-mode polynomial degree D both hold from order
-    m * D // 4 + 1.
+
+def polar_power_integrals(f, envelope: GaussianEnvelope, order: int, powers) -> list:
+    """integral f(z)^m dz over phase space for each m of powers, for
+    f ~ e^{-lam |z|^2} poly(z) in one or two modes.
+
+    The envelope must be lam * I with centre 0, so f^m decays like
+    e^{-m lam |z|^2}. With s = m lam |z|^2 per mode the rule for f^m takes
+    `order` Gauss-Laguerre nodes in s and a 2 * order trapezoid in the
+    angle; the rules of all powers share their angles and differ only in
+    their radii. In one mode the radii of the powers are stacked into one
+    PolarGrid, cut into calls of whole rules and at most MAX_POLAR_NODES
+    nodes, so f is called once for up to MAX_POLAR_NODES // (order * 2 order)
+    powers. Two modes take one pass per power: its nodes are flattened into one
+    per-mode node set, read-only and the same arrays for every block, and f
+    is called on ModeGrid row blocks of its pairings with itself. Each rule
+    is exact when, in each mode, f^m e^{s} is a trigonometric polynomial of
+    degree < 2 * order in the angle whose angular mean is a polynomial of
+    degree < 2 * order in s; for a field of per-mode polynomial degree D
+    both hold from order m * D // 4 + 1. Every size check runs before any
+    node is built. The node bound of a call also keeps one-mode synthesis's
+    sector arrays (wigner.MAX_SECTOR_BYTES) at 16 bytes a node wherever the
+    2 * order angles cover the field's sectors, as from its exact order on.
     """
     lam = envelope.polar_scale()
     if lam is None or envelope.center.size not in (2, 4):
@@ -432,15 +452,33 @@ def polar_integral(f, envelope: GaussianEnvelope, order: int) -> float:
             f"polar rule with {order * n_theta} nodes exceeds cap {MAX_POLAR_NODES}"
         )
     s, ws = laggauss_cached(order)
-    grid = PolarGrid.equispaced(np.sqrt(s / lam), n_theta)
-    # dx dp = ds dtheta / (2 lam) per mode, and the trapezoid weight is 2 pi / n_theta
-    scale = math.pi / (lam * n_theta)
+    rules = []
+    for m in powers:
+        lam_m = envelope.scaled(m).polar_scale()
+        # dx dp = ds dtheta / (2 lam_m) per mode, and the trapezoid weight is 2 pi / n_theta
+        rules.append((m, np.sqrt(s / lam_m), math.pi / (lam_m * n_theta)))
+    out = []
     if two_modes:
-        x = np.outer(grid.r, np.cos(grid.theta)).ravel()
-        p = np.outer(grid.r, np.sin(grid.theta)).ravel()
-        return scale * scale * _product_integral(f, x, p, np.repeat(ws, n_theta))
-    values = np.asarray(f(grid), dtype=float)
-    return scale * float(np.sum(ws * np.sum(values, axis=1)))
+        weights = np.repeat(ws, n_theta)
+        for m, r, scale in rules:
+            grid = PolarGrid.equispaced(r, n_theta)
+            x = np.outer(grid.r, np.cos(grid.theta)).ravel()
+            p = np.outer(grid.r, np.sin(grid.theta)).ravel()
+            x.flags.writeable = p.flags.writeable = False
+            integrand = lambda z, _m=m: _power(f(z), _m)
+            out.append(scale * scale * _product_integral(integrand, x, p, weights))
+        return out
+    per_call = MAX_POLAR_NODES // (order * n_theta)
+    for start in range(0, len(rules), per_call):
+        batch = rules[start : start + per_call]
+        grid = PolarGrid.equispaced(np.concatenate([r for _, r, _ in batch]), n_theta)
+        values = np.asarray(f(grid), dtype=float)
+        for k, (m, _, scale) in enumerate(batch):
+            block = _power(values[k * order : (k + 1) * order], m)
+            out.append(scale * float(np.sum(ws * np.sum(block, axis=1))))
+        # freed before the next call: each can hold MAX_POLAR_NODES values
+        del values, block
+    return out
 
 
 def uniform_grid_integral(

@@ -146,6 +146,31 @@ def _laguerre(alpha: int, x: np.ndarray, count: int):
         yield cur
 
 
+def _mode_two_memo(build):
+    """build(x, p) for a ModeGrid's mode-2 node set, kept for the next call.
+
+    The polar product rule passes the same read-only mode-2 arrays with
+    every row block of a pass, so their factors are built once per pass.
+    Writable arrays are never kept: their contents may change between calls.
+    A miss drops the kept entry before building, so one pass's factors are
+    released before the next pass builds its own.
+    """
+    kept = [None]
+
+    def factors(x, p):
+        entry, kept[0] = kept[0], None
+        if entry is not None and entry[0] is x and entry[1] is p:
+            kept[0] = entry
+            return entry[2]
+        del entry
+        value = build(x, p)
+        if not (x.flags.writeable or p.flags.writeable):
+            kept[0] = (x, p, value)
+        return value
+
+    return factors
+
+
 # ---------------------------------------------------------------------------
 # catalog closed forms
 
@@ -197,12 +222,17 @@ def _noon_field(spec: Noon) -> WignerField:
         cross = phase * (x + sign * 1j * p) ** N * gauss
         return gauss, diag_scale * lag * gauss, cross
 
+    def mode_two_factors(x, p):
+        g2, l2, c2 = factors(x, p, 1.0, 1.0)
+        return np.stack([g2, l2, c2.real, c2.imag])
+
+    mode_two = _mode_two_memo(mode_two_factors)
+
     def evaluate(z):
         if isinstance(z, ModeGrid):
             g1, l1, c1 = factors(z.x1, z.p1, -1.0, cross_phase)
-            g2, l2, c2 = factors(z.x2, z.p2, 1.0, 1.0)
             f1 = np.stack([l1, g1, c1.real, -c1.imag], axis=1)
-            f2 = np.stack([g2, l2, c2.real, c2.imag])
+            f2 = mode_two(z.x2, z.p2)
             # rank 4: numpy's own loop, which leaves the BLAS pool idle
             return np.einsum("ak,kb->ab", f1, f2)
         g1, l1, c1 = factors(z[:, 0], z[:, 2], -1.0, cross_phase)
@@ -495,7 +525,9 @@ def _synth_polar_one_mode(table, dim: int, grid: PolarGrid) -> np.ndarray:
     return _sectors_on_angles(table[0][:, 0], sectors, n_theta)
 
 
-def _synth_values_two_mode(rho4: np.ndarray, z) -> np.ndarray:
+def _synth_values_two_mode(rho4: np.ndarray, z, mode_two) -> np.ndarray:
+    """Two-mode synthesis on flat points or on a ModeGrid, whose mode-2
+    kernels come from mode_two(x2, p2)."""
     dim = rho4.shape[0]
     d2 = dim * dim
     # pair mode-1 row/col indices and mode-2 row/col indices:
@@ -504,7 +536,7 @@ def _synth_values_two_mode(rho4: np.ndarray, z) -> np.ndarray:
     if isinstance(z, ModeGrid):
         # per-mode kernels on per-mode nodes: the block is Re(K1 R K2^T)
         k1 = fock_kernel_values(z.x1, z.p1, dim).reshape(-1, d2)
-        k2 = fock_kernel_values(z.x2, z.p2, dim).reshape(-1, d2)
+        k2 = mode_two(z.x2, z.p2)
         return _require_real((k1 @ rho_mat) @ k2.T, "two-mode synthesis")
     n = z.shape[0]
     block = max(1, SYNTH_BLOCK_FLOATS // (2 * d2))
@@ -532,9 +564,10 @@ def wigner_fock_synthesis(state: FockState, label: str | None = None) -> WignerF
     else:
         d = state.dim
         rho4 = state.matrix.reshape(d, d, d, d)
+        mode_two = _mode_two_memo(lambda x, p: fock_kernel_values(x, p, d).reshape(-1, d * d))
 
         def evaluate(z):
-            return _synth_values_two_mode(rho4, z)
+            return _synth_values_two_mode(rho4, z, mode_two)
 
     k = state.modes
     return WignerField(

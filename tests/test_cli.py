@@ -228,6 +228,45 @@ def test_grid_size_limit_exit_code(capsys):
     assert err.startswith("error (size-limit):") and "Traceback" not in err
 
 
+def test_grid_output_matches_per_value_formatting(capsys):
+    from wignermoments import states, wigner
+    from wignermoments.quadrature import GridSpec
+
+    argv = ["grid", "--state", "fock", "--n", "3", "--half-width", "4", "--points", "37"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    xs, ps, values = wigner.wigner_grid(
+        wigner.wigner_analytic(states.Fock(3)), GridSpec(4.0, 37)
+    )
+    lines = ["x,p,w"]
+    for i, x in enumerate(xs):
+        for j, p in enumerate(ps):
+            lines.append(f"{cli._fmt(float(x))},{cli._fmt(float(p))},{cli._fmt(float(values[i, j]))}")
+    assert out == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, scheme, order",
+    [
+        (["--state", "noon", "--N", "1", "--scheme", "gauss_laguerre_polar"], "gauss_laguerre_polar", 2),
+        (["--state", "tmsv", "--r", "0.3", "--scheme", "gauss_hermite_tensor"], "gauss_hermite_tensor", 8),
+        (["--state", "fock", "--n", "2", "--scheme", "gauss_laguerre_polar"], "gauss_laguerre_polar", 4),
+        (["--state", "fock", "--n", "2", "--scheme", "gauss_hermite_tensor"], "gauss_hermite_tensor", 8),
+        (
+            ["--state", "mixed01", "--lam", "0.3", "--cutoff", "4", "--scheme", "gauss_laguerre_polar"],
+            "gauss_laguerre_polar",
+            7,
+        ),
+    ],
+)
+def test_scheme_without_order_runs_at_its_exact_order(capsys, argv, scheme, order):
+    # the two-mode cases needed (80 * 160)^2 and 80^4 nodes at order 40: exit 4
+    code, out, err = run(capsys, ["analyze"] + argv)
+    assert code == 0 and err == ""
+    report = moments.read_report(out)
+    assert (report.quadrature.scheme, report.quadrature.order) == (scheme, order)
+
+
 @pytest.mark.parametrize("scheme", ["adaptive_radial", "uniform_grid"])
 def test_removed_schemes_are_usage_errors(capsys, scheme):
     code, out, err = run(capsys, ["analyze", "--state", "fock", "--n", "1", "--scheme", scheme])

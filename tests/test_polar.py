@@ -57,6 +57,16 @@ def _recording(field):
     return dataclasses.replace(field, evaluate=evaluate), seen
 
 
+def _logged(field, log, entry):
+    """The field with entry(z) appended to log at every evaluate call."""
+
+    def evaluate(z, _f=field.evaluate):
+        log.append(entry(z))
+        return _f(z)
+
+    return dataclasses.replace(field, evaluate=evaluate)
+
+
 # ---------------------------------------------------------------------------
 # the Gauss-Laguerre rule
 
@@ -345,3 +355,185 @@ def test_cli_two_mode_reach_and_size_cap_exit_codes(capsys):
     assert (report.quadrature.scheme, report.cutoff) == (POLAR, 9)
     assert cli.main(["analyze", "--state", "noon", "--N", "171"]) == 4
     assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
+# one field evaluation per rule order
+
+
+def _one_mode_fields():
+    """More than 100 one-mode polar fields: Fock 0-60, 0/1 mixtures (closed
+    form and at cutoffs), random Fock-basis matrices at cutoffs 1-40,
+    dilates and the dilated vacua of the Gaussian core."""
+    rng = np.random.default_rng(15)
+    out = [wigner.wigner_analytic(states.Fock(n)) for n in range(61)]
+    for lam in (0.0, 0.25, 0.4, 0.8, 1.0):
+        out.append(wigner.wigner_analytic(states.MixedFock01(lam)))
+        out += [moments.field_for(states.MixedFock01(lam), c)[0] for c in (1, 7, 20)]
+    out += [
+        wigner.wigner_fock_synthesis(states.FockState(_random_rho(rng, c)))
+        for c in range(1, 41, 2)
+    ]
+    out += [moments.field_for(states.Fock(n), c)[0] for n, c in ((0, 10), (3, 12), (9, 33))]
+    out += [wigner.dilate(wigner.wigner_analytic(states.Fock(n)), c) for n in (1, 4) for c in (0.3, 2.5)]
+    for modes in (1, 2):
+        spec = soundness.random_gaussian_spec(rng, modes)
+        out.append(moments._gaussian_core(spec)[0])
+    return out
+
+
+def _per_moment_reference(field, order):
+    """w_1..w_3 and the doubled-order error, one rule per moment call."""
+    quad, doubled = QuadratureSpec(POLAR, order), QuadratureSpec(POLAR, 2 * order)
+    w = {m: moments.moment(field, m, quad) for m in (1, 2, 3)}
+    errors = {m: abs(w[m] - moments.moment(field, m, doubled)) for m in (2, 3)}
+    return w, errors
+
+
+def test_stacked_rules_are_bit_identical_to_one_rule_per_moment():
+    fields = _one_mode_fields()
+    assert len(fields) >= 100
+    for field in fields:
+        quad = moments.default_quadrature(field, 3)
+        assert quad.scheme == POLAR, field.label
+        assert moments._moments_and_errors(field, quad, 3) == _per_moment_reference(
+            field, quad.order
+        ), field.label
+
+
+@pytest.mark.parametrize(
+    "spec, cutoff",
+    [
+        (states.Fock(0), None),
+        (states.Fock(30), None),
+        (states.MixedFock01(0.4), 12),
+        (states.FockCustom.from_matrix(np.diag([0.2, 0.3, 0.5])), None),
+    ],
+    ids=str,
+)
+def test_analyze_reports_the_per_moment_rules_bit_for_bit(spec, cutoff):
+    rep = moments.analyze(spec, cutoff=cutoff)
+    field, _ = moments.field_for(spec, cutoff)
+    w, errors = _per_moment_reference(field, rep.quadrature.order)
+    assert rep.moments == w
+    assert rep.est_error == max(errors.values())
+
+
+def test_one_mode_analyze_evaluates_two_polar_grids():
+    for field in _one_mode_fields()[::10]:
+        recorded, seen = _recording(field)
+        moments._moments_and_errors(recorded, moments.default_quadrature(field, 3), 3)
+        assert seen == [PolarGrid, PolarGrid], field.label
+
+
+@pytest.mark.parametrize(
+    "spec, calls",
+    [
+        (states.Tmsv(0.7), 2),
+        (states.Spssv(0.7, 1), 4),
+        (states.GaussianCustom.from_arrays(np.zeros(4), 0.8 * np.eye(4)), 2),
+    ],
+    ids=str,
+)
+def test_core_route_evaluates_two_polar_grids_per_distinct_factor(monkeypatch, spec, calls):
+    seen = []
+    build = moments.wigner_analytic
+    monkeypatch.setattr(moments, "wigner_analytic", lambda s: _logged(build(s), seen, type))
+    moments.analyze(spec)
+    assert seen == [PolarGrid] * calls
+
+
+def test_explicit_tensor_spec_keeps_one_pass_per_moment():
+    field, seen = _recording(wigner.wigner_analytic(states.Fock(4)))
+    quad = QuadratureSpec(order=moments.exactness_order(field, 3))
+    moments._moments_and_errors(field, quad, 3)
+    # 12 and 24 nodes per axis fit one block: one call per moment and order
+    assert seen == [np.ndarray] * 5
+
+
+def test_stack_splits_into_whole_rules_under_the_node_cap(monkeypatch):
+    field = wigner.wigner_analytic(states.Fock(5))
+    quad = moments.default_quadrature(field, 5)
+    want = moments._moments_and_errors(field, quad, 5)
+    # room for one rule of the doubled order, or four of the order, per call
+    monkeypatch.setattr(quadrature, "MAX_POLAR_NODES", 2 * quad.order * 4 * quad.order)
+    sizes = []
+    assert moments._moments_and_errors(_logged(field, sizes, len), quad, 5) == want
+    rule = quad.order * 2 * quad.order
+    assert sizes == [4 * rule, rule] + [4 * rule] * 4
+
+
+def test_order_700_runs_and_order_708_is_refused_per_rule():
+    # the stacked rules at order 700 take 3 * 980,000 nodes in one call; the
+    # doubled order is 1400 * 2800 = 3,920,000 nodes per rule, one rule a call
+    sizes = []
+    field = _logged(wigner.wigner_analytic(states.Fock(1)), sizes, len)
+    w, errors = moments._moments_and_errors(field, QuadratureSpec(POLAR, 700), 3)
+    assert sizes == [3 * 700 * 1400, 1400 * 2800, 1400 * 2800]
+    for m in (1, 2, 3):
+        assert _rel(w[m], exact(states.Fock(1), m)) <= 1e-12
+    # 708 * 1416 nodes fit, but the doubled rule alone does not
+    with pytest.raises(SizeLimitError, match="polar rule with 4010112 nodes exceeds cap 4000000"):
+        moments.analyze(states.Fock(1), quad=QuadratureSpec(POLAR, 708))
+
+
+def test_mode_two_factors_are_built_once_per_pass(monkeypatch):
+    # one mode-1 build per row block, one mode-2 build per pass (5 passes);
+    # a small block size gives each pass many row blocks
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 64)
+    rng = np.random.default_rng(4)
+    g = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
+    rho = g @ g.conj().T
+    field = wigner.wigner_fock_synthesis(states.FockState(rho / np.trace(rho).real, modes=2))
+    field, seen = _recording(field)
+    built = []
+    kernels = wigner.fock_kernel_values
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return kernels(*args, **kwargs)
+
+    monkeypatch.setattr(wigner, "fock_kernel_values", counted)
+    quad = moments.default_quadrature(field, 3)
+    moments._moments_and_errors(field, quad, 3)
+    assert set(seen) == {quadrature.ModeGrid} and len(seen) > 100
+    assert len(built) == len(seen) + 5
+
+
+def test_noon_mode_two_factors_are_built_once_per_pass(monkeypatch):
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 64)
+    field, seen = _recording(wigner.wigner_analytic(states.Noon(2)))
+    laguerre_runs = []
+    laguerre = wigner._laguerre
+
+    def counted(*args):
+        laguerre_runs.append(1)
+        return laguerre(*args)
+
+    monkeypatch.setattr(wigner, "_laguerre", counted)
+    moments._moments_and_errors(field, moments.default_quadrature(field, 3), 3)
+    assert set(seen) == {quadrature.ModeGrid} and len(seen) > 100
+    assert len(laguerre_runs) == len(seen) + 5
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        wigner.wigner_analytic(states.Noon(3, 0.4)),
+        wigner.wigner_fock_synthesis(states.noon_state(2, cutoff=3)),
+    ],
+    ids=lambda f: f.label,
+)
+def test_mode_two_memo_matches_fresh_factors(field):
+    s, _ = laggauss_cached(6)
+    grid = PolarGrid.equispaced(np.sqrt(s), 12)
+    x = np.outer(grid.r, np.cos(grid.theta)).ravel()
+    p = np.outer(grid.r, np.sin(grid.theta)).ravel()
+    fresh = field.evaluate(quadrature.ModeGrid(x[:10], p[:10], x, p))  # writable: never kept
+    x.flags.writeable = p.flags.writeable = False
+    for start in (0, 10, 0):
+        sl = slice(start, start + 10)
+        kept = field.evaluate(quadrature.ModeGrid(x[sl], p[sl], x, p))
+        want = field.evaluate(quadrature.ModeGrid(x[sl], p[sl], x.copy(), p.copy()))
+        assert np.array_equal(kept, want)
+    assert np.array_equal(field.evaluate(quadrature.ModeGrid(x[:10], p[:10], x, p)), fresh)
