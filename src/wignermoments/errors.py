@@ -2,7 +2,7 @@
 
 Exit-code mapping used by the CLI: usage problems (bad arguments,
 unsupported requests) exit 2, numerical preconditions (cutoff too small,
-degenerate covariance) exit 3, resource limits exit 4.
+degenerate covariance, a non-finite result) exit 3, resource limits exit 4.
 """
 
 
@@ -38,6 +38,13 @@ class DegenerateCovarianceError(WignerMomentsError):
     """A covariance matrix is singular or violates the uncertainty bound."""
 
     category = "degenerate-covariance"
+    exit_code = 3
+
+
+class NonFiniteResultError(WignerMomentsError):
+    """A moment or its error estimate came out NaN or infinite (overflow)."""
+
+    category = "non-finite-result"
     exit_code = 3
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedOperationError
+from .errors import InvalidArgumentError, NonFiniteResultError, UnsupportedOperationError
 from .quadrature import (
     QuadratureSpec,
     _power,
@@ -273,8 +273,16 @@ def _product_error(parts) -> float:
     )
 
 
-def _report(label, modes, cutoff, quad, moments, est_error, warn=False) -> MomentReport:
+def _report(label, modes, cutoff, quad, moments, errors, warn=False) -> MomentReport:
+    """The report of the moments, with est_error the largest of the per-m
+    errors; a NaN or infinite moment, delta or error raises before any
+    verdict (Python's max would drop a NaN that is not first)."""
     delta = moments[2] ** 2 - moments[3]
+    if not all(map(math.isfinite, [*moments.values(), delta, *errors])):
+        raise NonFiniteResultError(
+            f"{label}: moments {moments}, delta {delta} or errors {list(errors)} are not finite"
+        )
+    est_error = max(errors)
     verdict = criterion(moments[2], moments[3], max(MARGIN_FLOOR, 3.0 * est_error))
     return MomentReport(
         state=label,
@@ -303,11 +311,11 @@ def _analyze_core(spec: StateSpec, factors: tuple, max_m: int) -> MomentReport:
             runs[id(f)] = (quad, *_moments_and_errors(f, quad, max_m))
     parts = [runs[id(f)] for f in factors]
     moments = {m: math.prod(w[m] for _, w, _ in parts) for m in range(1, max_m + 1)}
-    est_error = max(
+    errors = [
         _product_error([(w[m], e[m]) for _, w, e in parts]) for m in range(2, max_m + 1)
-    )
+    ]
     quad = max((q for q, _, _ in parts), key=lambda q: q.order)
-    return _report(spec_label(spec), len(factors), None, quad, moments, est_error)
+    return _report(spec_label(spec), len(factors), None, quad, moments, errors)
 
 
 def analyze(
@@ -343,8 +351,7 @@ def analyze(
     exact = EXACT_ORDERS.get(quad.scheme)
     warn = exact is not None and quad.order < exact(field, max_m)
     moments, errors = _moments_and_errors(field, quad, max_m)
-    est_error = max(errors.values())
-    return _report(field.label, field.modes, used_cutoff, quad, moments, est_error, warn)
+    return _report(field.label, field.modes, used_cutoff, quad, moments, errors.values(), warn)
 
 
 # ---------------------------------------------------------------------------

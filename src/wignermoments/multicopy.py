@@ -7,6 +7,16 @@ exponential, and quadrature forms), displaced parity, the integrated
 parity products O_m with Tr[rho^(x)m O_m] = w_m, and the cyclic register
 permutation behind the three-copy protocol.
 
+Every operator is a TruncatedOperator: the compressed-sparse-row form of
+its realignment, whose rows are register 1's level pairs (r_1, c_1) and
+whose columns are the other registers' level pairs. A trace against
+rho_1 x rho_2 x ... is then x R y with x = rho_1 and y = rho_2 x ...,
+each flattened over its level pairs: one gather, one segmented sum and a
+dot product, without forming the tensor product. In O_m the photon-number
+rule keeps, in each row of offset r_1 - c_1 = delta, only the columns
+whose offsets sum to -delta, so O_m is 2*cutoff + 1 dense blocks, one
+per offset, each built by one GEMM over the radial nodes.
+
 Truncation caveat applies throughout: annihilation operators truncated at
 a finite Fock level violate the commutation relation in the top levels,
 so operator identities hold exactly only on the subspace that the
@@ -19,7 +29,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -49,38 +58,70 @@ DEFAULT_MAX_SIDE = 4096
 # identity checks restrict to indices whose per-mode occupation stays this
 # many levels below the cutoff.
 SAFE_BOUNDARY_LEVELS = 2
+DUMP_CHUNK = 1 << 16  # entries formatted at a time by TruncatedOperator.dump
 
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """An operator on `modes` registers, each truncated at `cutoff`, stored by sectors.
+    """An operator on `modes` registers, each truncated at `cutoff`, stored as
+    its realignment in compressed-sparse-row form.
 
-    Sector s couples the next sizes[s] basis states of `index` (numbered
-    row-major over the registers) among themselves; its block is the next
-    sizes[s]**2 `values`, row-major. Entries outside every sector are 0.
+    The realignment R[p, q] = O[(r_1, r_rest), (c_1, c_rest)] has one row per
+    level pair p = c_1*dim + r_1 of register 1, which numbers the entry
+    rho_1[c_1, r_1] that O's entry meets in Tr[(rho_1 x ...) O], and one
+    column per level pairs of the other registers, q = (...(p_2*dim^2 + p_3)
+    *dim^2 ...) with p_i = c_i*dim + r_i (a single column q = 0 on one
+    register). Stored row i is R's row rows[i]; its entries run from
+    values[row_starts[i]] to the next row's start (the last to the end), at
+    the columns in `cols`. Entries not stored are 0.
     """
 
     modes: int
     cutoff: int
-    index: np.ndarray
-    sizes: np.ndarray
+    rows: np.ndarray
+    row_starts: np.ndarray
+    cols: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        index, sizes, side = self.index, self.sizes, self.side
-        if (sizes.sum(), (sizes**2).sum()) != (index.size, self.values.size) or np.any(
-            (index < 0) | (index >= side)
-        ):
+        rows, starts, cols, nnz = self.rows, self.row_starts, self.cols, self.values.size
+        valid = rows.shape == starts.shape == (rows.size,) and cols.shape == (nnz,)
+        if valid and rows.size:
+            # every stored row holds at least one entry, the first from values[0]
+            valid = starts[0] == 0 and starts[-1] < nnz and np.all(np.diff(starts) > 0)
+            valid = valid and rows.min() >= 0 and rows.max() < self.dim**2
+        elif valid:
+            valid = nnz == 0
+        if valid and nnz:
+            valid = cols.min() >= 0 and cols.max() < self.dim ** (2 * self.modes - 2)
+        if not valid:
             raise InvalidArgumentError(
-                f"sector sizes {sizes.tolist()} need {sizes.sum()} indices below {side} and "
-                f"{(sizes**2).sum()} values, got {index.size} and {self.values.size}"
+                f"{rows.size} rows with {starts.size} starts, {cols.size} columns and {nnz} "
+                f"values do not lay out a realignment of {self.modes} registers at cutoff "
+                f"{self.cutoff}"
             )
 
     @classmethod
     def dense(cls, modes: int, cutoff: int, matrix) -> "TruncatedOperator":
-        """The operator whose entries are the (side, side) `matrix`: one sector."""
-        side = (cutoff + 1) ** modes
-        return cls(modes, cutoff, np.arange(side), np.array([side]), np.ravel(matrix))
+        """The operator whose entries are the (side, side) `matrix`: every row and column."""
+        dim, matrix = cutoff + 1, np.asarray(matrix)
+        if matrix.size != dim ** (2 * modes):
+            raise InvalidArgumentError(
+                f"{modes} registers at cutoff {cutoff} need {dim ** (2 * modes)} entries, "
+                f"got {matrix.size}"
+            )
+        # (r_1..r_m, c_1..c_m) -> (c_1, r_1, c_2, r_2, ...)
+        axes = [a for i in range(modes) for a in (modes + i, i)]
+        realigned = np.transpose(matrix.reshape((dim,) * (2 * modes)), axes)
+        n_rows, n_cols = dim * dim, dim ** (2 * modes - 2)
+        return cls(
+            modes,
+            cutoff,
+            np.arange(n_rows),
+            n_cols * np.arange(n_rows),
+            np.tile(np.arange(n_cols), n_rows),
+            np.ravel(realigned),
+        )
 
     @property
     def side(self) -> int:
@@ -91,23 +132,19 @@ class TruncatedOperator:
         """Per-register dimension cutoff+1."""
         return self.cutoff + 1
 
-    @cached_property
-    def _pairs(self) -> np.ndarray:
-        """Row level * dim + column level, per register and entry of `values`."""
-        occupations = np.indices((self.dim,) * self.modes).reshape(self.modes, -1)
-        pairs = []
-        for states in np.split(self.index, np.cumsum(self.sizes)[:-1]):
-            occ = occupations[:, states]
-            pairs.append((occ[:, :, None] * self.dim + occ[:, None, :]).reshape(self.modes, -1))
-        return np.concatenate(pairs, axis=1)
+    def _positions(self):
+        """Row and column of each stored entry in the (side, side) matrix."""
+        row_1, col_1, _, _ = _pair_tables(self.dim, 1)
+        row_rest, col_rest, _, _ = _pair_tables(self.dim, self.modes - 1)
+        p = np.repeat(self.rows, np.diff(self.row_starts, append=self.values.size))
+        lead = self.dim ** (self.modes - 1)
+        return row_1[p] * lead + row_rest[self.cols], col_1[p] * lead + col_rest[self.cols]
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense (side, side) matrix, side^2 entries scattered anew on each access."""
-        shape = (self.dim,) * self.modes
-        rows, cols = (np.ravel_multi_index(lv, shape) for lv in divmod(self._pairs, self.dim))
         out = np.zeros((self.side, self.side), dtype=np.result_type(float, self.values))
-        out[rows, cols] = self.values
+        out[self._positions()] = self.values
         return out
 
     def safe_slice(self, levels: int = SAFE_BOUNDARY_LEVELS) -> np.ndarray:
@@ -117,14 +154,34 @@ class TruncatedOperator:
         return self.matrix[np.ix_(idx, idx)]
 
     def dump(self, path) -> None:
-        """Write side, cutoff and the nonzero entries as row,col,re,im CSV."""
-        mat = self.matrix
+        """Write side, cutoff and the nonzero entries, row-major, as row,col,re,im CSV."""
+        row, col = self._positions()
+        order = np.argsort(row * self.side + col)
+        order = order[self.values[order] != 0]
         with open(path, "w", newline="\n") as fh:
             fh.write(f"# side={self.side}\n# cutoff={self.cutoff}\nrow,col,re,im\n")
-            rows, cols = np.nonzero(mat)
-            for r, c in zip(rows.tolist(), cols.tolist()):
-                v = complex(mat[r, c])
-                fh.write(f"{r},{c},{v.real!r},{v.imag!r}\n")
+            # in chunks, so that the Python strings stay a bounded size
+            for start in range(0, order.size, DUMP_CHUNK):
+                chunk = order[start : start + DUMP_CHUNK]
+                values = self.values[chunk]
+                columns = [row[chunk].tolist(), col[chunk].tolist()]
+                columns += [map(repr, part.tolist()) for part in (values.real, values.imag)]
+                fh.writelines(map("{},{},{},{}\n".format, *columns))
+
+
+def _pair_tables(dim: int, registers: int) -> np.ndarray:
+    """Per level-pair index q of `registers` registers, numbered as the
+    columns of TruncatedOperator: its row and column basis states (base dim,
+    first register most significant), its photon-number offset
+    sum_i (r_i - c_i), and the index of its swap (every r_i and c_i
+    exchanged). Shape (4, dim^(2 registers))."""
+    c, r = np.divmod(np.arange(dim * dim), dim)
+    one = np.stack([r, c, r - c, r * dim + c])
+    place = np.array([dim, dim, 1, dim * dim])[:, None, None]
+    tables = np.zeros((4, 1), dtype=np.intp)
+    for _ in range(registers):
+        tables = (tables[:, :, None] * place + one[:, None, :]).reshape(4, -1)
+    return tables
 
 
 def _pair_annihilation(cutoff: int):
@@ -221,7 +278,10 @@ def multicopy_observable(
     Rotating alpha -> alpha e^{i theta} multiplies the entry [r, c] of
     Pi(alpha)^(x)m by e^{i(sum r - sum c) theta}, so the angular integral
     is 2 pi on the entries with sum r = sum c (the photon-number selection
-    rule), which alone are built, one sector per total, and 0 elsewhere.
+    rule), which alone are built, one block per offset r_1 - c_1 of
+    register 1, and 0 elsewhere; the blocks of negative offset are those of
+    positive offset under swapped rows and columns, so O_m is exactly
+    symmetric.
     With alpha = t/sqrt(2m) and s = |t|^2 the rest is the radial integral
     of e^{-s} times a polynomial in s of degree <= m*cutoff, taken on the
     real axis where the kernels are real. alpha_quadrature_order counts
@@ -260,39 +320,74 @@ def multicopy_observable(
     # alpha = sqrt(s/(2m)) on the real axis; the kernel wants x = sqrt(2) Re alpha.
     # Pi's entries are the conjugated kernels, which are real there.
     kernels = fock_kernel_values(np.sqrt(nodes / m), np.zeros(order), d, include_envelope=False)
-    pair_values = np.moveaxis(kernels.real, 0, -1).reshape(d * d, order)  # [r*d + c, k]
+    pair_values = np.ascontiguousarray(kernels.real.transpose(2, 1, 0).reshape(d * d, -1))
     # d^2 alpha = pi ds / (2m) after the angular integral; prefactor 2/pi^m.
-    scale = 1.0 / (m * math.pi ** (m - 1))
-    totals = np.indices((d,) * m).reshape(m, -1).sum(axis=0)
-    sizes, index = np.bincount(totals), np.argsort(totals, kind="stable")
-    op = TruncatedOperator(m, cutoff, index, sizes, np.empty((sizes**2).sum()))
-    # fill its blocks in place: entry [r, c] is sum_k w_k prod_copies K_k[r_copy, c_copy]
-    ends = np.cumsum(sizes**2)[:-1]
-    for n, pairs, out in zip(sizes, np.split(op._pairs, ends, axis=1), np.split(op.values, ends)):
-        products = np.take(pair_values, pairs[0], axis=0)
-        for more in pairs[1:]:
-            products *= np.take(pair_values, more, axis=0)
-        block = ((products @ weights) * scale).reshape(n, n)
-        out[:] = 0.5 * (block + block.T).ravel()
-    return op
+    lead = pair_values * (weights / (m * math.pi ** (m - 1)))
+    _, _, offset, swap = _pair_tables(d, 1)
+    _, _, rest_offset, rest_swap = _pair_tables(d, m - 1)
+    # R[p, q] = sum_k w_k K_k[p] prod_{i>=2} K_k[q_i] is in the rule when the
+    # offsets of p and q cancel: one GEMM per offset delta >= 0 of p
+    groups = [
+        (np.flatnonzero(offset == delta), np.flatnonzero(rest_offset == -delta))
+        for delta in range(d)
+    ]
+    sizes = [p.size * q.size for p, q in groups]
+    values = np.empty(2 * sum(sizes) - sizes[0])
+    cols = np.empty(values.size, dtype=np.intp)
+    rows, counts, start = [], [], 0
+    for delta, (p, q) in enumerate(groups):
+        rest = pair_values[q % (d * d)]
+        for i in range(1, m - 1):
+            rest *= pair_values[q // (d * d) ** i % (d * d)]
+        block = values[start : start + p.size * q.size].reshape(p.size, q.size)
+        np.dot(lead[p], rest.T, out=block)
+        if delta:
+            # O is symmetric: R[swap p, swap q] = R[p, q] is the block of offset -delta
+            values[start + block.size : start + 2 * block.size] = block.ravel()
+            labels = [(p, q), (swap[p], rest_swap[q])]
+        else:
+            # rows of offset 0 are their own swaps, so the symmetry acts within each
+            block[:] = 0.5 * (block + block[:, np.searchsorted(q, rest_swap[q])])
+            labels = [(p, q)]
+        for p, q in labels:
+            cols[start : start + block.size].reshape(block.shape)[:] = q
+            rows.append(p)
+            counts.append(np.full(p.size, q.size))
+            start += block.size
+    counts = np.concatenate(counts)
+    return TruncatedOperator(
+        m, cutoff, np.concatenate(rows), np.cumsum(counts) - counts, cols, values
+    )
 
 
 def multicopy_expectation(operator: TruncatedOperator, rhos) -> complex:
-    """Tr[(rho_1 x ... x rho_n) O] over the stored entries, without forming the tensor product."""
+    """Tr[(rho_1 x ... x rho_n) O] over the stored entries, without forming the tensor product.
+
+    Real states (all imaginary parts zero) contract in real arithmetic.
+    """
     d, rhos = operator.dim, list(rhos)
     if any(isinstance(rho, FockState) and rho.modes != 1 for rho in rhos):
         raise InvalidArgumentError("each register holds a one-mode state")
-    mats = [np.asarray(getattr(rho, "matrix", rho), dtype=complex) for rho in rhos]
+    mats = [np.asarray(getattr(rho, "matrix", rho)) for rho in rhos]
     if [mat.shape for mat in mats] != [(d, d)] * operator.modes:
         raise InvalidArgumentError(
             f"operator couples {operator.modes} registers of dimension {d}, "
             f"got states of shapes {[mat.shape for mat in mats]}"
         )
-    # Tr[(A x B) O] pairs O[row, col] with A[col_1, row_1] B[col_2, row_2].
-    terms = operator.values
-    for mat, pairs in zip(mats, operator._pairs):
-        terms = terms * mat.T.ravel()[pairs]
-    return complex(terms.sum())
+    vectors = [mat.ravel() for mat in mats]
+    if not any(v.dtype.kind == "c" and np.count_nonzero(v.imag) for v in vectors):
+        vectors = [v.real for v in vectors]
+    return complex(_contract(operator, vectors))
+
+
+def _contract(operator: TruncatedOperator, vectors):
+    """sum_{p,q} R[p, q] x[p] y[q], with x the first register's flattened rho
+    and y the Kronecker product of the others' (a single 1 on one register)."""
+    y = vectors[1] if len(vectors) > 1 else np.ones(1)
+    for v in vectors[2:]:
+        y = np.multiply.outer(y, v).ravel()
+    sums = np.add.reduceat(operator.values * y[operator.cols], operator.row_starts)
+    return np.dot(vectors[0][operator.rows], sums)
 
 
 def _register_permutations(dim_per_mode: int, copies: int):

@@ -100,6 +100,15 @@ def test_analyze_numerical_precondition_exit_code(capsys):
     assert err.startswith("error (degenerate-covariance):")
 
 
+def test_analyze_non_finite_result_exit_code(capsys):
+    # Fock(300) overflows the Laguerre recurrence: no bare NaN on stdout
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, ["analyze", "--state", "fock", "--n", "300"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error (non-finite-result):")
+
+
 def test_analyze_strong_squeezing_takes_the_exact_core(capsys):
     # the default route integrates vacuum x vacuum: w_m = 1/(m^2 pi^(2(m-1)))
     code, out, err = run(capsys, ["analyze", "--state", "tmsv", "--r", "9.5"])

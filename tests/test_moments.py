@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wignermoments import moments, oracle, states, wigner
-from wignermoments.errors import InvalidArgumentError
+from wignermoments.errors import InvalidArgumentError, NonFiniteResultError
 from wignermoments.quadrature import GridSpec, ModeGrid, QuadratureSpec, hermgauss_cached
 
 PI = math.pi
@@ -235,6 +235,34 @@ def test_analyze_requires_three_moments():
 
 # ---------------------------------------------------------------------------
 # report serialization
+
+
+def test_analyze_refuses_non_finite_moments():
+    # the unscaled Laguerre recurrence overflows at the outer polar nodes of
+    # Fock(250): w1 and the doubled pass come out NaN, which max() used to
+    # drop, leaving the 1e-9 floor as the margin and a Certified verdict
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteResultError):
+        moments.analyze(states.Fock(250))
+
+
+def nan_field(field):
+    return dataclasses.replace(field, evaluate=lambda z: field.evaluate(z) * np.nan)
+
+
+@pytest.mark.parametrize("route", ["polar", "tensor", "core"])
+def test_analyze_raises_on_a_nan_field(monkeypatch, route):
+    fock1 = wigner.wigner_analytic(states.Fock(1))
+    monkeypatch.setattr(moments, "field_for", lambda spec, cutoff: (nan_field(fock1), None))
+    monkeypatch.setitem(
+        moments._SYMPLECTIC_CORES, states.Tmsv, lambda spec: (nan_field(fock1),) * 2
+    )
+    spec, quad = states.Fock(1), None
+    if route == "tensor":
+        quad = QuadratureSpec(order=8)
+    elif route == "core":
+        spec = states.Tmsv(0.5)
+    with pytest.raises(NonFiniteResultError):
+        moments.analyze(spec, quad=quad)
 
 
 def test_report_json_round_trip_is_byte_stable():

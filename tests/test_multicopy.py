@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -32,8 +34,27 @@ def test_truncated_operator_validation_and_props():
     assert op.dim == 4
     with pytest.raises(InvalidArgumentError):
         multicopy.TruncatedOperator.dense(2, 3, np.eye(4))
-    with pytest.raises(InvalidArgumentError):
-        multicopy.TruncatedOperator(2, 3, np.array([0, 16]), np.array([2]), np.ones(4))
+    # realignment layouts whose sizes disagree or whose indices leave the
+    # 16 level pairs of register 1 and the 16 of register 2
+    zeros = np.zeros(4, dtype=int)
+    for rows, starts, cols in [
+        ([0, 16], [0, 2], zeros),
+        ([0, 1], [0], zeros),
+        ([0, 1], [], zeros),
+        ([0, 1], [0, 2], zeros[:3]),
+        ([0, 1], [0, 4], zeros),
+        ([0, 1], [0, 0], zeros),
+        ([0, 1], [1, 2], zeros),
+        ([0, 1], [0, 2], zeros - 1),
+        ([0, 1], [0, 2], zeros + 16),
+        ([], [], zeros),
+    ]:
+        rows, starts = np.array(rows, dtype=int), np.array(starts, dtype=int)
+        with pytest.raises(InvalidArgumentError):
+            multicopy.TruncatedOperator(2, 3, rows, starts, cols, np.ones(4))
+    empty = np.zeros(0, dtype=int)
+    nothing = multicopy.TruncatedOperator(2, 3, empty, empty, empty, np.zeros(0))
+    assert not nothing.matrix.any()
 
 
 def test_safe_slice_keeps_interior_levels():
@@ -292,8 +313,7 @@ def test_observable_obeys_photon_number_selection_rule(m, cutoff):
     assert np.array_equal(mat, mat.T)
 
 
-def test_o3_at_cutoff_12_matches_exact_moments():
-    cutoff = 12
+def check_o3_exact_moments(cutoff):
     op = multicopy.multicopy_observable(3, cutoff)
     specs = [states.Fock(n) for n in range(cutoff + 1)] + [states.MixedFock01(0.3)]
     for spec in specs:
@@ -302,6 +322,17 @@ def test_o3_at_cutoff_12_matches_exact_moments():
         want = oracle.radial_closed_form_moment(spec, 3)
         assert got.real == pytest.approx(want, rel=0, abs=1e-12), spec
         assert got.imag == 0.0
+    return op
+
+
+def test_o3_at_cutoff_12_matches_exact_moments():
+    assert check_o3_exact_moments(12).values.size == 204_763
+
+
+def test_o3_at_the_largest_cutoff_matches_exact_moments():
+    # cutoff 15 is the largest under DEFAULT_MAX_SIDE (16^3 = 4096)
+    assert multicopy.DEFAULT_MAX_SIDE == 16**3
+    assert check_o3_exact_moments(15).values.size == 577_744
 
 
 def test_multicopy_expectation_guards():
@@ -329,7 +360,7 @@ def test_expectation_pairs_each_register_with_its_own_state(m, cutoff):
     # Tr[(rho_1 x ... x rho_m) O] with distinct complex states. O_m and the
     # SWAP forms are symmetric, so a transposed rho[c, r] gather or swapped
     # registers only show on operators without that symmetry: displaced
-    # parity, a random dense operator and random blocks on O_m's sectors.
+    # parity, a random dense operator and random values on O_m's support.
     rng = np.random.default_rng(10 * m + cutoff)
     d = cutoff + 1
     rhos = [random_density(rng, d) for _ in range(m)]
@@ -338,7 +369,7 @@ def test_expectation_pairs_each_register_with_its_own_state(m, cutoff):
     ops = [
         o_m,
         multicopy.TruncatedOperator.dense(m, cutoff, noise(d**m, d**m)),
-        multicopy.TruncatedOperator(m, cutoff, o_m.index, o_m.sizes, noise(o_m.values.size)),
+        dataclasses.replace(o_m, values=noise(o_m.values.size)),
     ]
     if m == 2:
         ops += [
@@ -353,6 +384,51 @@ def test_expectation_pairs_each_register_with_its_own_state(m, cutoff):
     parity = multicopy.displaced_parity(0.3 - 0.4j, cutoff)
     want = np.trace(rhos[0] @ parity.matrix)
     assert abs(multicopy.multicopy_expectation(parity, rhos[:1]) - want) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_dense_realignment_round_trips(m):
+    cutoff = 3
+    side = (cutoff + 1) ** m
+    rng = np.random.default_rng(m)
+    mat = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    assert np.array_equal(multicopy.TruncatedOperator.dense(m, cutoff, mat).matrix, mat)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_real_and_complex_contractions_agree(m, monkeypatch):
+    cutoff = 5
+    d = cutoff + 1
+    rng = np.random.default_rng(m)
+    noise = rng.normal(size=(d**m, d**m)) + 1j * rng.normal(size=(d**m, d**m))
+    ops = [
+        multicopy.multicopy_observable(m, cutoff),
+        multicopy.TruncatedOperator.dense(m, cutoff, noise),
+    ]
+    dtypes = []
+    contract = multicopy._contract
+    spy = lambda op, vectors: dtypes.append({v.dtype for v in vectors}) or contract(op, vectors)
+    monkeypatch.setattr(multicopy, "_contract", spy)
+    real = [random_density(rng, d).real for _ in range(m)]
+    rhos = [random_density(rng, d) for _ in range(m)]
+    for op in ops:
+        # real states: the real path against complex arithmetic on the same entries
+        got = multicopy.multicopy_expectation(op, real)
+        want = contract(op, [rho.astype(complex).ravel() for rho in real])
+        assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+        # complex states: the complex path against the real path on the real
+        # and imaginary parts, expanded over the registers
+        got = multicopy.multicopy_expectation(op, rhos)
+        want = sum(
+            1j ** sum(parts) * multicopy.multicopy_expectation(
+                op, [rho.imag if part else rho.real for rho, part in zip(rhos, parts)]
+            )
+            for parts in itertools.product((0, 1), repeat=m)
+        )
+        assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+    # per operator: one real contraction, one complex, 2^m real
+    per_op = [{np.dtype(float)}, {np.dtype(complex)}] + [{np.dtype(float)}] * 2**m
+    assert dtypes == per_op * len(ops)
 
 
 def dense_reference_observable(m, cutoff):
