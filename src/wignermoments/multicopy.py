@@ -15,7 +15,9 @@ each flattened over its level pairs: one gather, one segmented sum and a
 dot product, without forming the tensor product. In O_m the photon-number
 rule keeps, in each row of offset r_1 - c_1 = delta, only the columns
 whose offsets sum to -delta, so O_m is 2*cutoff + 1 dense blocks, one
-per offset, each built by one GEMM over the radial nodes.
+per offset, each built by one GEMM over the radial nodes from the real
+kernel table of wigner.fock_kernel_values, the one the two-mode Wigner
+synthesis reads.
 
 Truncation caveat applies throughout: annihilation operators truncated at
 a finite Fock level violate the commutation relation in the top levels,
@@ -266,12 +268,7 @@ def displaced_parity(alpha: complex, cutoff: int) -> TruncatedOperator:
     return TruncatedOperator.dense(1, cutoff, mat)
 
 
-def multicopy_observable(
-    m: int,
-    cutoff: int,
-    alpha_quadrature_order: int | None = None,
-    max_side: int = DEFAULT_MAX_SIDE,
-) -> TruncatedOperator:
+def multicopy_observable(m: int, cutoff: int, max_side: int = DEFAULT_MAX_SIDE) -> TruncatedOperator:
     """The m-copy observable O_m with Tr[rho^(x)m O_m] = w_m.
 
     O_m = (2/pi^m) * integral of Pi(alpha)^(x)m over the alpha plane.
@@ -284,11 +281,12 @@ def multicopy_observable(
     symmetric.
     With alpha = t/sqrt(2m) and s = |t|^2 the rest is the radial integral
     of e^{-s} times a polynomial in s of degree <= m*cutoff, taken on the
-    real axis where the kernels are real. alpha_quadrature_order counts
-    the radial Gauss-Laguerre nodes (quadrature.laggauss_cached, the rule
-    of the polar moment path); m*cutoff//2 + 1 of them (the default) make
-    the rule exact, and fewer draw a TruncationWarning. The vacuum comes
-    out at w_m = 1/(m*pi^{m-1}), and for m=2 the whole matrix is SWAP/(2pi).
+    real axis, where the kernels are real: the Re parts of
+    wigner.fock_kernel_values, whose envelopes e^{-s/m}/pi multiply to
+    e^{-s}/pi^m, on m*cutoff//2 + 1 radial Gauss-Laguerre nodes
+    (quadrature.laggauss_cached, the rule of the polar moment path), the
+    fewest that make the rule exact. The vacuum comes out at
+    w_m = 1/(m*pi^{m-1}), and for m=2 the whole matrix is SWAP/(2pi).
     """
     if m not in (2, 3):
         raise UnsupportedOperationError("multicopy_observable supports m in {2, 3}")
@@ -300,30 +298,19 @@ def multicopy_observable(
         raise SizeLimitError(
             f"m={m} copies at cutoff {cutoff} give side {side} > limit {max_side}"
         )
-    exact_order = m * cutoff // 2 + 1
-    order = alpha_quadrature_order
-    if order is None:
-        order = exact_order
-    elif isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
-        raise InvalidArgumentError(
-            f"alpha order counts radial nodes and must be an int >= 1, got {order!r}"
-        )
-    elif order < exact_order:
-        warnings.warn(
-            f"alpha order {order} is below the exactness threshold {exact_order} "
-            f"for m={m}, cutoff {cutoff}",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    order = m * cutoff // 2 + 1
     nodes, scaled_weights = laggauss_cached(order)
-    weights = scaled_weights * np.exp(-nodes)
     # alpha = sqrt(s/(2m)) on the real axis; the kernel wants x = sqrt(2) Re alpha.
-    # Pi's entries are the conjugated kernels, which are real there.
-    kernels = fock_kernel_values(np.sqrt(nodes / m), np.zeros(order), d, include_envelope=False)
-    pair_values = np.ascontiguousarray(kernels.real.transpose(2, 1, 0).reshape(d * d, -1))
-    # d^2 alpha = pi ds / (2m) after the angular integral; prefactor 2/pi^m.
-    lead = pair_values * (weights / (m * math.pi ** (m - 1)))
-    _, _, offset, swap = _pair_tables(d, 1)
+    # Pi's entries are the conjugated kernels, real there, so pair (r, c) and
+    # its swap (c, r) read the same table row Re K[max, min].
+    row, col, offset, swap = _pair_tables(d, 1)
+    lower = np.flatnonzero(offset >= 0)
+    parts = np.stack([row[lower], col[lower], np.zeros_like(lower)], axis=1)
+    table = fock_kernel_values(np.sqrt(nodes / m), np.zeros(order), parts)
+    pair_values = table[np.searchsorted(lower, np.where(offset >= 0, np.arange(d * d), swap))]
+    # d^2 alpha = pi ds / (2m) after the angular integral; prefactor 2/pi^m,
+    # of which the kernels' envelopes carry 1/pi^m.
+    lead = pair_values * (scaled_weights * (math.pi / m))
     _, _, rest_offset, rest_swap = _pair_tables(d, m - 1)
     # R[p, q] = sum_k w_k K_k[p] prod_{i>=2} K_k[q_i] is in the rule when the
     # offsets of p and q cancel: one GEMM per offset delta >= 0 of p

@@ -85,9 +85,6 @@ MAX_POLAR_NODES = 4_000_000
 LAGUERRE_NEWTON_STEPS = 3
 LAGUERRE_RESCALE = 1e150
 
-# Axes of each mode in the (x_1, x_2, p_1, p_2) point layout.
-MODE_AXES = ((0, 2), (1, 3))
-
 
 @dataclass(frozen=True)
 class GaussianEnvelope:
@@ -109,10 +106,6 @@ class GaussianEnvelope:
     def scaled(self, factor: float) -> "GaussianEnvelope":
         return GaussianEnvelope(self.form * factor, self.center)
 
-    def separates_modes(self) -> bool:
-        """True for a two-mode form with no entry between (x1, p1) and (x2, p2)."""
-        return self.center.size == 4 and not np.any(self.form[np.ix_(*MODE_AXES)])
-
     def polar_scale(self) -> float | None:
         """lam for a form lam * I centred at 0 (the polar rule's envelope),
         None for any other envelope."""
@@ -124,16 +117,6 @@ class GaussianEnvelope:
             v == (lam if i == j else 0.0) for i, row in enumerate(rows) for j, v in enumerate(row)
         )
         return lam if lam > 0.0 and isotropic else None
-
-    def combine(self, other: "GaussianEnvelope") -> "GaussianEnvelope":
-        """Envelope of a product of two Gaussian-decaying factors.
-
-        Completing the square keeps polynomial-times-envelope integrands
-        exactly polynomial after the weight split, even with offset centers.
-        """
-        form = self.form + other.form
-        rhs = self.form @ self.center + other.form @ other.center
-        return GaussianEnvelope(form, np.linalg.solve(form, rhs))
 
 
 @dataclass(frozen=True)
@@ -400,7 +383,9 @@ def _product_integral(f, x: np.ndarray, p: np.ndarray, w: np.ndarray) -> float:
     partials = []
     for start in range(0, x.size, rows):
         sl = slice(start, start + rows)
-        block = np.asarray(f(ModeGrid(x[sl], p[sl], x, p)), dtype=float)
+        # a single block passes the node arrays themselves in both modes
+        grid = ModeGrid(x, p, x, p) if rows >= x.size else ModeGrid(x[sl], p[sl], x, p)
+        block = np.asarray(f(grid), dtype=float)
         # numpy reductions, not BLAS: a threaded gemv here leaves the BLAS
         # pool spinning into the single-threaded work that follows
         partials.append(float(np.sum(w[sl] * np.sum(block * w, axis=1))))
@@ -429,7 +414,8 @@ def polar_power_integrals(f, envelope: GaussianEnvelope, order: int, powers) -> 
     nodes, so f is called once for up to MAX_POLAR_NODES // (order * 2 order)
     powers. Two modes take one pass per power: its nodes are flattened into one
     per-mode node set, read-only and the same arrays for every block, and f
-    is called on ModeGrid row blocks of its pairings with itself. Each rule
+    is called on ModeGrid row blocks of its pairings with itself (a pass of
+    one block passes those arrays as the mode-1 nodes too). Each rule
     is exact when, in each mode, f^m e^{s} is a trigonometric polynomial of
     degree < 2 * order in the angle whose angular mean is a polynomial of
     degree < 2 * order in s; for a field of per-mode polynomial degree D

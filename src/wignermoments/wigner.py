@@ -1,4 +1,4 @@
-"""Wigner function evaluators, marginals, and Weyl symbols.
+"""Wigner function evaluators and marginals.
 
 Every evaluator is wrapped in a WignerField carrying its Gaussian decay
 envelope and the per-mode polynomial degree of W * exp(+envelope), which
@@ -6,6 +6,13 @@ is what makes the Gauss-Hermite and polar moment rules exact. The catalog
 closed forms were derived from the kets in the x = (a + a^dag)/sqrt(2)
 convention with transform normalization 1/(2 pi)^k, so the vacuum is
 W = (1/pi) e^{-x^2-p^2}.
+
+Fock-basis states are synthesized from the cross-Wigner kernels K[m, n]
+(Cahill and Glauber, Phys. Rev. 177, 1882 (1969)). fock_kernel_values
+builds one real table of their Re and Im parts; two-mode synthesis (NOON
+included) contracts a table per mode through one real coupling matrix, and
+multicopy builds O_m from the same table on the real axis. One-mode
+synthesis sums the same series by angular sector.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from .quadrature import (
     _cholesky,
     _node_tensor,
     _substitute,
-    gauss_hermite_integral,
 )
 from .states import (
     Fock,
@@ -44,11 +50,9 @@ from .states import (
 __all__ = [
     "WignerField",
     "dilate",
-    "expectation_phase_space",
     "fock_kernel_values",
     "marginal_x",
     "marginal_p",
-    "weyl_symbol",
     "wigner_analytic",
     "wigner_fock_synthesis",
     "wigner_gaussian",
@@ -57,9 +61,12 @@ __all__ = [
 
 REAL_TOL = 1e-10
 
-# Chunk size for point batches in the Fock-synthesis evaluators; two-mode
-# synthesis materializes (chunk, dim, dim) kernel blocks.
-SYNTH_BLOCK_FLOATS = 8_000_000
+# Floats of kernel tables per point block of two-mode synthesis on flat
+# points (1 MB): small enough that a block's tables and temporaries stay in
+# cache, and that the allocator reuses their memory from block to block
+# instead of taking fresh pages on every call: Noon(3) on 262,144 points
+# takes about half the time of a single block.
+SYNTH_BLOCK_FLOATS = 131_072
 
 # Cap on the per-radius sector arrays of one-mode synthesis on a PolarGrid:
 # complex (radii, max(sectors, angles)) blocks, 16 bytes an entry.
@@ -79,10 +86,11 @@ class WignerField:
     of the polynomial W * exp(+(z - c)^T Q (z - c)) in one mode's
     coordinates (x_i, p_i), the largest over the modes. separable marks a
     field whose evaluate also accepts its product grid and returns the
-    block of values there: a ModeGrid, (n1, n2), for a two-mode field built
-    from per-mode factors (NOON, Fock synthesis), whose envelope never
-    couples the modes; a PolarGrid, (radii, angles), for a one-mode field
-    built from angular sectors (Fock, the 0/1 mixture, Fock synthesis).
+    block of values there: a ModeGrid, (n1, n2), for two-mode Fock
+    synthesis (NOON included), whose per-mode kernel tables meet in one
+    coupling matrix and whose envelope never couples the modes; a
+    PolarGrid, (radii, angles), for a one-mode field built from angular
+    sectors (Fock, the 0/1 mixture, Fock synthesis).
     """
 
     modes: int
@@ -103,13 +111,6 @@ class WignerField:
             )
         values = self.evaluate(points)
         return float(values[0]) if single else values
-
-
-def _require_real(values, what: str) -> np.ndarray:
-    imag = np.max(np.abs(values.imag)) if np.iscomplexobj(values) else 0.0
-    if imag > REAL_TOL:
-        raise InvalidArgumentError(f"{what} produced imaginary residue {imag:.2e}")
-    return np.ascontiguousarray(values.real) if np.iscomplexobj(values) else values
 
 
 def _coupling(d: int) -> float:
@@ -133,7 +134,7 @@ def _laguerre(alpha: int, x: np.ndarray, count: int):
     in place on three buffers, so a yielded array is overwritten two steps on.
     alpha may be an array that broadcasts against x (one row per order).
     """
-    shape = np.broadcast_shapes(np.shape(alpha), x.shape)
+    shape = np.broadcast(alpha, x).shape
     prev, cur, tmp = np.zeros(shape), np.ones(shape), np.empty(shape)
     for n in range(count):
         if n:
@@ -150,7 +151,7 @@ def _mode_two_memo(build):
     """build(x, p) for a ModeGrid's mode-2 node set, kept for the next call.
 
     The polar product rule passes the same read-only mode-2 arrays with
-    every row block of a pass, so their factors are built once per pass.
+    every row block of a pass, so their kernel table is built once per pass.
     Writable arrays are never kept: their contents may change between calls.
     A miss drops the kept entry before building, so one pass's factors are
     released before the next pass builds its own.
@@ -203,50 +204,6 @@ def _fock_field(spec: Fock) -> WignerField:
         return ((-1.0) ** spec.n / math.pi) * np.exp(-u) * lag
 
     return _radial_field(radial, 2 * spec.n, spec_label(spec))
-
-
-def _noon_field(spec: Noon) -> WignerField:
-    # rho = (|N0> + e^{i phi}|0N>)(h.c.)/2 expanded into kernel products:
-    # diagonal parts are Fock x vacuum Wigner products, the cross term is
-    # (2^N / pi^2 N!) e^{-u1-u2} Re[e^{-i phi} (x1-ip1)^N (x2+ip2)^N].
-    # W is the sum over k of f1[k](x1, p1) f2[k](x2, p2), with the complex
-    # cross term split into its real and imaginary products.
-    N = spec.N
-    diag_scale = (-1.0) ** N / (2.0 * math.pi**2)
-    cross_phase = _coupling(N) ** 2 / math.pi**2 * np.exp(-1j * spec.phi)
-
-    def factors(x, p, sign, phase):
-        u = x * x + p * p
-        gauss = np.exp(-u)
-        *_, lag = _laguerre(0, 2.0 * u, N + 1)
-        cross = phase * (x + sign * 1j * p) ** N * gauss
-        return gauss, diag_scale * lag * gauss, cross
-
-    def mode_two_factors(x, p):
-        g2, l2, c2 = factors(x, p, 1.0, 1.0)
-        return np.stack([g2, l2, c2.real, c2.imag])
-
-    mode_two = _mode_two_memo(mode_two_factors)
-
-    def evaluate(z):
-        if isinstance(z, ModeGrid):
-            g1, l1, c1 = factors(z.x1, z.p1, -1.0, cross_phase)
-            f1 = np.stack([l1, g1, c1.real, -c1.imag], axis=1)
-            f2 = mode_two(z.x2, z.p2)
-            # rank 4: numpy's own loop, which leaves the BLAS pool idle
-            return np.einsum("ak,kb->ab", f1, f2)
-        g1, l1, c1 = factors(z[:, 0], z[:, 2], -1.0, cross_phase)
-        g2, l2, c2 = factors(z[:, 1], z[:, 3], 1.0, 1.0)
-        return l1 * g2 + g1 * l2 + (c1 * c2).real
-
-    return WignerField(
-        modes=2,
-        evaluate=evaluate,
-        envelope=GaussianEnvelope(np.eye(4), np.zeros(4)),
-        polynomial_degree=2 * N,
-        label=spec_label(spec),
-        separable=True,
-    )
 
 
 def _squeezed_pair_envelope(r: float) -> GaussianEnvelope:
@@ -317,17 +274,19 @@ def _mixed01_field(spec: MixedFock01) -> WignerField:
     return _radial_field(radial, 2, spec_label(spec))
 
 
-# custom specs go to the Gaussian/synthesis evaluators: total over StateSpec
+def _fock_basis_field(spec: Noon | FockCustom) -> WignerField:
+    return wigner_fock_synthesis(state_from_spec(spec), label=spec_label(spec))
+
+
+# NOON and custom specs go to the synthesis/Gaussian evaluators: total over StateSpec
 _CLOSED_FORMS = {
     Fock: _fock_field,
-    Noon: _noon_field,
+    Noon: _fock_basis_field,
     Tmsv: _tmsv_field,
     Spssv: _spssv_field,
     MixedFock01: _mixed01_field,
     GaussianCustom: lambda spec: wigner_gaussian(state_from_spec(spec)),
-    FockCustom: lambda spec: wigner_fock_synthesis(
-        state_from_spec(spec), label=spec_label(spec)
-    ),
+    FockCustom: _fock_basis_field,
 }
 
 
@@ -365,8 +324,8 @@ def wigner_gaussian(state: GaussianState) -> WignerField:
 # Fock-basis synthesis
 
 
-def fock_kernel_values(x, p, dim: int, include_envelope: bool = True) -> np.ndarray:
-    """Cross-Wigner kernel matrices K[m, n](x, p) for m, n < dim.
+def fock_kernel_values(x, p, parts) -> np.ndarray:
+    """Table of cross-Wigner kernel parts at the points (x, p).
 
     K[m, n] is the Wigner transform of |n><m| (so that sum rho[m, n] K[m, n]
     is the Wigner function of rho). For m >= n, with u = x^2 + p^2:
@@ -374,29 +333,45 @@ def fock_kernel_values(x, p, dim: int, include_envelope: bool = True) -> np.ndar
         K[m, n] = ((-1)^n / pi) sqrt(2^{m-n} n! / m!) (x - ip)^{m-n}
                   e^{-u} L_n^{(m-n)}(2u)
 
-    and K[n, m] = conj(K[m, n]). With include_envelope=False the factor
-    e^{-u} / pi is dropped (used where the Gaussian is folded into a
-    quadrature weight). Returns shape (len(x), dim, dim), complex.
+    and K[n, m] = conj(K[m, n]). parts lists triples (m, n, part): part 0
+    asks for Re K[m, n] (m >= n), part 1 for Im K[m, n] (m > n; it is 0 at
+    m = n). Returns the real (len(parts), len(x)) table, a row per part,
+    each formed as ((+-B Re/Im (x - ip)^{m-n}) L) (e^{-u} / pi). One
+    Laguerre recurrence serves every offset m - n that needs an n > 0, a
+    row per offset.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    p = np.asarray(p, dtype=float).ravel()
+    parts = np.asarray(parts, dtype=np.intp).reshape(-1, 3).tolist()
+    levels = {}  # n -> [(table row, offset d, part)]
+    couplings = {}  # d -> [B(0, d), ..., B(n, d)], each product taken in order
+    for i, (m, n, part) in enumerate(parts):
+        if not (0 <= n <= m - part and part in (0, 1)):
+            raise InvalidArgumentError(f"no kernel part (m, n, part) = {(m, n, part)}")
+        chain = couplings.setdefault(m - n, [_coupling(m - n)])
+        while len(chain) <= n:
+            chain.append(chain[-1] * math.sqrt(len(chain) / (len(chain) + m - n)))
+        levels.setdefault(n, []).append((i, m - n, part))
+    x = np.asarray(x, dtype=float).reshape(-1)
+    p = np.asarray(p, dtype=float).reshape(-1)
     u = x * x + p * p
-    two_u = 2.0 * u
     xi = x - 1j * p
-    out = np.empty((x.size, dim, dim), dtype=complex)
-    for off in range(dim):
-        xipow = xi**off if off else np.ones_like(xi)
-        coupling = _coupling(off)
-        for n, lag in enumerate(_laguerre(off, two_u, dim - off)):
-            if n > 0:
-                coupling *= math.sqrt(n / (n + off))
-            sign = -1.0 if n % 2 else 1.0
-            vals = (sign * coupling) * xipow * lag
-            out[:, n + off, n] = vals
-            if off:
-                out[:, n, n + off] = np.conj(vals)
-    if include_envelope:
-        out *= (np.exp(-u) / math.pi)[:, None, None]
+    powers = {d: xi**d for d in couplings if d}
+    recurring = [d for d, chain in couplings.items() if len(chain) > 1]
+    lag_row = {d: r for r, d in enumerate(recurring)}
+    lags = _laguerre(np.array(recurring)[:, None], 2.0 * u, max(levels, default=0) + 1)
+    out = np.empty((len(parts), x.size))
+    for n, lag in enumerate(lags):
+        for i, d, part in levels.get(n, ()):
+            scale = -couplings[d][n] if n % 2 else couplings[d][n]
+            row = out[i]
+            if d:
+                np.multiply(powers[d].imag if part else powers[d].real, scale, out=row)
+                if n:
+                    row *= lag[lag_row[d]]
+            elif n:  # xi^0 = 1
+                np.multiply(lag[lag_row[d]], scale, out=row)
+            else:
+                row.fill(scale)
+    out *= np.exp(-u) / math.pi
     return out
 
 
@@ -525,28 +500,61 @@ def _synth_polar_one_mode(table, dim: int, grid: PolarGrid) -> np.ndarray:
     return _sectors_on_angles(table[0][:, 0], sectors, n_theta)
 
 
-def _synth_values_two_mode(rho4: np.ndarray, z, mode_two) -> np.ndarray:
-    """Two-mode synthesis on flat points or on a ModeGrid, whose mode-2
-    kernels come from mode_two(x2, p2)."""
-    dim = rho4.shape[0]
+def _pair_parts(pairs: np.ndarray, dim: int):
+    """The kernel parts that the level pairs a = m * dim + n read.
+
+    Returns the (m, n, part) triples of fock_kernel_values that K[m, n] of
+    the pairs need, and the complex (len(pairs), len(parts)) matrix E with
+    K[m, n] = E[a] @ table: Re K[max, min] for every pair and, off the
+    diagonal, +-i Im K[max, min], since K[n, m] = conj(K[m, n]).
+    """
+    index, reads = {}, []
+    for row, (m, n) in enumerate(divmod(a, dim) for a in pairs.tolist()):
+        high, low = max(m, n), min(m, n)
+        reads.append((row, index.setdefault((high, low, 0), len(index)), 1.0))
+        if m != n:
+            reads.append((row, index.setdefault((high, low, 1), len(index)), 1j if m > n else -1j))
+    matrix = np.zeros((pairs.size, len(index)), dtype=complex)
+    rows, cols, weights = zip(*reads)
+    matrix[rows, cols] = weights
+    return np.array(list(index)), matrix
+
+
+def _two_mode_coupling(rho: np.ndarray, dim: int):
+    """rho as a real coupling C of per-mode kernel tables, W = T1^T C T2.
+
+    W = sum rho[(m1, m2), (n1, n2)] K1[m1, n1] K2[m2, n2], so the realignment
+    R[(m1, n1), (m2, n2)] = rho[(m1, m2), (n1, n2)] couples the level pairs
+    of mode 1 with those of mode 2. Only its nonzero rows and columns are
+    kept, and C = E1^T R E2 maps them onto each mode's kernel parts
+    (_pair_parts). The parts are linearly independent functions and W is
+    real, so a Hermitian rho leaves no imaginary residue in C. Returns
+    (parts of mode 1, C, parts of mode 2).
+    """
     d2 = dim * dim
-    # pair mode-1 row/col indices and mode-2 row/col indices:
-    # W = sum rho4[m,a,n,b] K1[(m,n)] K2[(a,b)]
-    rho_mat = np.ascontiguousarray(rho4.transpose(0, 2, 1, 3).reshape(d2, d2))
-    if isinstance(z, ModeGrid):
-        # per-mode kernels on per-mode nodes: the block is Re(K1 R K2^T)
-        k1 = fock_kernel_values(z.x1, z.p1, dim).reshape(-1, d2)
-        k2 = mode_two(z.x2, z.p2)
-        return _require_real((k1 @ rho_mat) @ k2.T, "two-mode synthesis")
+    realigned = rho.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(d2, d2)
+    nonzero = realigned != 0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    parts1, reads1 = _pair_parts(rows, dim)
+    parts2, reads2 = _pair_parts(cols, dim)
+    coupling = reads1.T @ realigned[np.ix_(rows, cols)] @ reads2
+    imag = np.abs(coupling.imag).max(initial=0.0)
+    if imag > REAL_TOL:
+        raise InvalidArgumentError(f"two-mode synthesis produced imaginary residue {imag:.2e}")
+    return parts1, np.ascontiguousarray(coupling.real), parts2
+
+
+def _synth_flat_two_mode(parts1, coupling, parts2, z: np.ndarray) -> np.ndarray:
+    """T1^T C T2 point by point on flat points, in blocks of points."""
     n = z.shape[0]
-    block = max(1, SYNTH_BLOCK_FLOATS // (2 * d2))
+    block = max(1, SYNTH_BLOCK_FLOATS // (2 * len(parts1) + len(parts2)))
     out = np.empty(n)
     for start in range(0, n, block):
         sl = slice(start, min(start + block, n))
-        k1 = fock_kernel_values(z[sl, 0], z[sl, 2], dim).reshape(-1, d2)
-        k2 = fock_kernel_values(z[sl, 1], z[sl, 3], dim).reshape(-1, d2)
-        vals = np.einsum("pi,ij,pj->p", k1, rho_mat, k2, optimize=True)
-        out[sl] = _require_real(vals, "two-mode synthesis")
+        t1 = fock_kernel_values(z[sl, 0], z[sl, 2], parts1)
+        t2 = fock_kernel_values(z[sl, 1], z[sl, 3], parts2)
+        out[sl] = np.sum(t1 * (coupling @ t2), axis=0)
     return out
 
 
@@ -562,12 +570,19 @@ def wigner_fock_synthesis(state: FockState, label: str | None = None) -> WignerF
             return _synth_values_one_mode(rho, z)
 
     else:
-        d = state.dim
-        rho4 = state.matrix.reshape(d, d, d, d)
-        mode_two = _mode_two_memo(lambda x, p: fock_kernel_values(x, p, d).reshape(-1, d * d))
+        parts1, coupling, parts2 = _two_mode_coupling(state.matrix, state.dim)
+        mode_two = _mode_two_memo(lambda x, p: fock_kernel_values(x, p, parts2))
+        same_parts = np.array_equal(parts1, parts2)
 
         def evaluate(z):
-            return _synth_values_two_mode(rho4, z, mode_two)
+            if isinstance(z, ModeGrid):
+                t2 = mode_two(z.x2, z.p2)
+                if same_parts and z.x1 is z.x2 and z.p1 is z.p2:
+                    t1 = t2  # one block of a node set paired with itself
+                else:
+                    t1 = fock_kernel_values(z.x1, z.p1, parts1)
+                return (t1.T @ coupling) @ t2
+            return _synth_flat_two_mode(parts1, coupling, parts2, z)
 
     k = state.modes
     return WignerField(
@@ -653,109 +668,6 @@ def marginal_x(field: WignerField, mode: int, x, order: int | None = None):
 def marginal_p(field: WignerField, mode: int, p, order: int | None = None):
     """Momentum marginal of one mode."""
     return _marginal(field, mode, 1, p, order)
-
-
-# ---------------------------------------------------------------------------
-# Weyl symbols
-
-
-def weyl_symbol(A, x, p, order: int | None = None):
-    """Weyl symbol of a truncated operator at phase-space points.
-
-    A~(x, p) = integral <x + y/2| A |x - y/2> e^{-i p y} dy, evaluated by a
-    contour-shifted Gauss-Hermite rule that is exact for any matrix A:
-
-        A~ = 2 e^{-x^2-p^2} sum_j w_j sum_{mn} A[m, n]
-             h_m(x + t_j - ip) h_n(x - t_j + ip)
-
-    with h_m the normalized Hermite polynomials (Fock wavefunctions without
-    their Gaussian). Note the symbol is that of the truncated operator:
-    projector-like A (identity, truncated quadratures) oscillate instead of
-    converging pointwise, while sum rules against Wigner functions are exact.
-    Returns a complex array (real for Hermitian A up to roundoff).
-    """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidArgumentError(f"operator must be a square matrix, got {A.shape}")
-    d = A.shape[0]
-    if order is None:
-        order = d + 6
-    t, w = np.polynomial.hermite.hermgauss(order)
-    x = np.asarray(x, dtype=float).ravel()
-    p = np.asarray(p, dtype=float).ravel()
-    zp = x[:, None] + t[None, :] - 1j * p[:, None]
-    zm = 2.0 * x[:, None] - zp
-    hp = np.empty((d, x.size, order), dtype=complex)
-    hm = np.empty((d, x.size, order), dtype=complex)
-    hp[0] = hm[0] = math.pi**-0.25
-    if d > 1:
-        hp[1] = math.sqrt(2.0) * zp * hp[0]
-        hm[1] = math.sqrt(2.0) * zm * hm[0]
-    for m in range(2, d):
-        hp[m] = zp * math.sqrt(2.0 / m) * hp[m - 1] - math.sqrt((m - 1) / m) * hp[m - 2]
-        hm[m] = zm * math.sqrt(2.0 / m) * hm[m - 1] - math.sqrt((m - 1) / m) * hm[m - 2]
-    g = np.einsum("mn,mpj,npj->pj", A, hp, hm, optimize=True)
-    return 2.0 * np.exp(-(x * x + p * p)) * (g @ w)
-
-
-def _symbol_factor_real(A, x, p, order=None) -> np.ndarray:
-    vals = weyl_symbol(A, x, p, order)
-    return _require_real(vals, "weyl symbol of Hermitian operator")
-
-
-def expectation_phase_space(field: WignerField, A, order: int | None = None) -> float:
-    """Tr[rho A] as the phase-space average integral W(z) A~(z) dz.
-
-    A is a single Hermitian matrix for k = 1, or a sequence of per-mode
-    Hermitian factors for k = 2 (the field's envelope must then not couple
-    the modes, which holds for NOON and synthesis-based fields). Both run on
-    the Gauss-Hermite tensor rule, exact for polynomial-degree fields and
-    truncated operators.
-    """
-    if field.modes == 1:
-        A = np.asarray(A, dtype=complex)
-        if np.max(np.abs(A - A.conj().T)) > 1e-10:
-            raise InvalidArgumentError("expectation requires a Hermitian operator")
-        d = A.shape[0]
-        env = field.envelope.combine(GaussianEnvelope(np.eye(2), np.zeros(2)))
-        if order is None:
-            order = max(8, (field.polynomial_degree + 2 * (d - 1)) // 2 + 3)
-
-        def integrand(z):
-            return field.evaluate(z) * _symbol_factor_real(A, z[:, 0], z[:, 1])
-
-        return gauss_hermite_integral(integrand, env, order)
-
-    if field.modes == 2:
-        try:
-            a1, a2 = A
-        except (TypeError, ValueError):
-            raise InvalidArgumentError(
-                "two-mode expectation takes a pair of per-mode operators"
-            )
-        a1 = np.asarray(a1, dtype=complex)
-        a2 = np.asarray(a2, dtype=complex)
-        for a in (a1, a2):
-            if np.max(np.abs(a - a.conj().T)) > 1e-10:
-                raise InvalidArgumentError("expectation requires Hermitian operators")
-        env = field.envelope.combine(GaussianEnvelope(np.eye(4), np.zeros(4)))
-        if not env.separates_modes():
-            raise UnsupportedOperationError(
-                "two-mode expectation needs an envelope that does not couple "
-                "the modes; use a Fock-synthesis field"
-            )
-        if order is None:
-            deg_a = 2 * (a1.shape[0] - 1) + 2 * (a2.shape[0] - 1)
-            order = max(8, (field.polynomial_degree + deg_a) // 2 + 3)
-
-        def integrand(z):
-            s1 = _symbol_factor_real(a1, z[:, 0], z[:, 2])
-            s2 = _symbol_factor_real(a2, z[:, 1], z[:, 3])
-            return field.evaluate(z) * s1 * s2
-
-        return gauss_hermite_integral(integrand, env, order)
-
-    raise UnsupportedOperationError("expectation supports 1 or 2 modes")
 
 
 # ---------------------------------------------------------------------------

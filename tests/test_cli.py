@@ -109,6 +109,23 @@ def test_analyze_non_finite_result_exit_code(capsys):
     assert err.startswith("error (non-finite-result):")
 
 
+def test_non_finite_exit_writes_one_stderr_line():
+    # no numpy RuntimeWarning from the overflow ahead of the taxonomy line
+    src = str(Path(wignermoments.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wignermoments", "analyze", "--state", "fock", "--n", "300"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error (non-finite-result):")
+
+
 def test_analyze_strong_squeezing_takes_the_exact_core(capsys):
     # the default route integrates vacuum x vacuum: w_m = 1/(m^2 pi^(2(m-1)))
     code, out, err = run(capsys, ["analyze", "--state", "tmsv", "--r", "9.5"])
@@ -284,7 +301,7 @@ def test_removed_schemes_are_usage_errors(capsys, scheme):
 
 
 def test_noon_past_the_factorial_overflow_exit_code(capsys):
-    # the field builds; its exact tensor rule is over the node cap
+    # its density matrix, of side 172^2, is over the state cap
     code, out, err = run(capsys, ["analyze", "--state", "noon", "--N", "171"])
     assert code == 4 and out == ""
     assert err.startswith("error (size-limit):")
@@ -319,12 +336,11 @@ def test_multicopy_size_limit_exit_code(capsys):
 
 
 def test_multicopy_bad_alpha_order_exit_code(capsys):
-    code, out, err = run(
-        capsys, ["multicopy", "--state", "vacuum", "--cutoff", "3", "--alpha-order", "0"]
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error (invalid-argument):")
+    # O_m always takes its exact radial order, m*cutoff//2 + 1: no flag sets it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["multicopy", "--state", "vacuum", "--cutoff", "3", "--alpha-order", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --alpha-order 4" in capsys.readouterr().err
 
 
 def test_multicopy_dump_operator(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from kernel_reference import kernel_reference
 
 from wignermoments import moments, multicopy, oracle, states, wigner
 from wignermoments.errors import (
@@ -241,31 +242,6 @@ def test_multicopy_observable_guards():
         multicopy.multicopy_observable(2, 0)
     with pytest.raises(SizeLimitError):
         multicopy.multicopy_observable(3, 20)  # 9261 > 4096
-    with pytest.warns(TruncationWarning):
-        multicopy.multicopy_observable(2, 6, alpha_quadrature_order=6)
-
-
-@pytest.mark.parametrize("bad", [0, -1, 2.5, True])
-def test_multicopy_observable_rejects_bad_alpha_order(bad):
-    with pytest.raises(InvalidArgumentError):
-        multicopy.multicopy_observable(2, 3, alpha_quadrature_order=bad)
-
-
-@pytest.mark.parametrize("cutoff", [1, 2, 5, 8])
-def test_under_resolved_radial_rule_misses_fock_w3(cutoff):
-    # m*cutoff//2 + 1 radial nodes are exact; one fewer must visibly miss,
-    # so the TruncationWarning guards a real error
-    spec = states.Fock(cutoff)
-    state = states.state_from_spec(spec, cutoff=cutoff)
-    want = oracle.radial_closed_form_moment(spec, 3)
-    exact_order = 3 * cutoff // 2 + 1
-    with pytest.warns(TruncationWarning):
-        short = multicopy.multicopy_observable(3, cutoff, exact_order - 1)
-    miss = multicopy.multicopy_expectation(short, [state] * 3).real - want
-    assert abs(miss) > 1e-6
-    exact = multicopy.multicopy_observable(3, cutoff, exact_order)
-    hit = multicopy.multicopy_expectation(exact, [state] * 3).real - want
-    assert abs(hit) < 1e-12
 
 
 def gauss_hermite_observable(m, cutoff, order=40):
@@ -278,17 +254,18 @@ def gauss_hermite_observable(m, cutoff, order=40):
     d = cutoff + 1
     nodes, weights = np.polynomial.hermite.hermgauss(order)
     xg, pg = np.meshgrid(nodes / math.sqrt(m), nodes / math.sqrt(m), indexing="ij")
-    kernels = np.conj(
-        wigner.fock_kernel_values(xg.ravel(), pg.ravel(), d, include_envelope=False)
-    )
-    w2d = np.outer(weights, weights).ravel()
+    kernels = np.conj(kernel_reference(xg.ravel(), pg.ravel(), d))
+    # the m kernels' envelopes e^{-u}/pi multiply to e^{-t_re^2 - t_im^2}/pi^m,
+    # the Hermite weight over pi^m
+    scaled = weights * np.exp(nodes * nodes)
+    w2d = np.outer(scaled, scaled).ravel()
     total = np.zeros((d**m, d**m), dtype=complex)
     for w, k in zip(w2d, kernels):
         power = k
         for _ in range(m - 1):
             power = np.kron(power, k)
         total += w * power
-    total *= 2.0 / PI**m / (2.0 * m)
+    total *= 2.0 / (2.0 * m)
     return 0.5 * (total + total.conj().T)
 
 
@@ -443,10 +420,9 @@ def dense_reference_observable(m, cutoff):
     side = d**m
     order = m * cutoff // 2 + 1
     nodes, scaled_weights = laggauss_cached(order)
-    weights = scaled_weights * np.exp(-nodes)
-    kernels = wigner.fock_kernel_values(
-        np.sqrt(nodes / m), np.zeros(order), d, include_envelope=False
-    ).real
+    # the m kernels' envelopes e^{-s/m}/pi multiply to e^{-s}/pi^m
+    weights = scaled_weights * PI**m
+    kernels = kernel_reference(np.sqrt(nodes / m), np.zeros(order), d).real
     flat = kernels.reshape(order, d * d)
     lead = flat
     for _ in range(m - 2):

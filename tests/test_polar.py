@@ -166,6 +166,15 @@ def test_polar_scheme_refuses_other_fields():
 # exactness against the rational oracle and the tensor rule
 
 
+def test_noon_default_route_matches_the_rational_oracle():
+    # NOON runs as two-mode synthesis of its density matrix on the polar rule
+    for N in range(1, 11):
+        report = moments.analyze(states.Noon(N))
+        assert report.quadrature.scheme == POLAR
+        for m in (2, 3):
+            assert _rel(report.moments[m], oracle.noon_closed_form_moment(N, m)) <= 2e-14, (N, m)
+
+
 def test_fock_synthesis_matches_oracle_for_every_n_and_cutoff():
     for c in range(41):
         for n in range(c + 1):
@@ -477,15 +486,7 @@ def test_order_700_runs_and_order_708_is_refused_per_rule():
         moments.analyze(states.Fock(1), quad=QuadratureSpec(POLAR, 708))
 
 
-def test_mode_two_factors_are_built_once_per_pass(monkeypatch):
-    # one mode-1 build per row block, one mode-2 build per pass (5 passes);
-    # a small block size gives each pass many row blocks
-    monkeypatch.setattr(quadrature, "BLOCK_NODES", 64)
-    rng = np.random.default_rng(4)
-    g = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
-    rho = g @ g.conj().T
-    field = wigner.wigner_fock_synthesis(states.FockState(rho / np.trace(rho).real, modes=2))
-    field, seen = _recording(field)
+def _count_table_builds(monkeypatch):
     built = []
     kernels = wigner.fock_kernel_values
 
@@ -494,6 +495,19 @@ def test_mode_two_factors_are_built_once_per_pass(monkeypatch):
         return kernels(*args, **kwargs)
 
     monkeypatch.setattr(wigner, "fock_kernel_values", counted)
+    return built
+
+
+def test_mode_two_factors_are_built_once_per_pass(monkeypatch):
+    # one mode-1 table per row block, one mode-2 table per pass (5 passes);
+    # a small block size gives each pass many row blocks
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 64)
+    rng = np.random.default_rng(4)
+    g = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
+    rho = g @ g.conj().T
+    field = wigner.wigner_fock_synthesis(states.FockState(rho / np.trace(rho).real, modes=2))
+    field, seen = _recording(field)
+    built = _count_table_builds(monkeypatch)
     quad = moments.default_quadrature(field, 3)
     moments._moments_and_errors(field, quad, 3)
     assert set(seen) == {quadrature.ModeGrid} and len(seen) > 100
@@ -503,17 +517,21 @@ def test_mode_two_factors_are_built_once_per_pass(monkeypatch):
 def test_noon_mode_two_factors_are_built_once_per_pass(monkeypatch):
     monkeypatch.setattr(quadrature, "BLOCK_NODES", 64)
     field, seen = _recording(wigner.wigner_analytic(states.Noon(2)))
-    laguerre_runs = []
-    laguerre = wigner._laguerre
-
-    def counted(*args):
-        laguerre_runs.append(1)
-        return laguerre(*args)
-
-    monkeypatch.setattr(wigner, "_laguerre", counted)
+    built = _count_table_builds(monkeypatch)
     moments._moments_and_errors(field, moments.default_quadrature(field, 3), 3)
     assert set(seen) == {quadrature.ModeGrid} and len(seen) > 100
-    assert len(laguerre_runs) == len(seen) + 5
+    assert len(built) == len(seen) + 5
+
+
+def test_single_block_passes_build_one_table(monkeypatch):
+    # at the default block size every pass of Noon(1) is one block, whose
+    # mode-1 nodes are the mode-2 nodes: one table per pass serves both modes
+    field, seen = _recording(wigner.wigner_analytic(states.Noon(1)))
+    built = _count_table_builds(monkeypatch)
+    w, _ = moments._moments_and_errors(field, moments.default_quadrature(field, 3), 3)
+    assert seen == [quadrature.ModeGrid] * 5
+    assert len(built) == 5
+    assert _rel(w[3], oracle.noon_closed_form_moment(1, 3)) <= 2e-14
 
 
 @pytest.mark.parametrize(

@@ -80,15 +80,6 @@ def test_non_positive_form_rejected():
         gauss_hermite_integral(lambda z: np.ones(z.shape[0]), env, order=4)
 
 
-def test_envelope_combine_is_product_of_gaussians():
-    a = GaussianEnvelope(np.array([[2.0]]), np.array([1.0]))
-    b = GaussianEnvelope(np.array([[3.0]]), np.array([-1.0]))
-    comb = a.combine(b)
-    assert np.allclose(comb.form, [[5.0]])
-    # product peak at (2*1 + 3*(-1))/5
-    assert comb.center[0] == pytest.approx(-0.2, abs=1e-15)
-
-
 def test_envelope_validation():
     with pytest.raises(InvalidArgumentError):
         GaussianEnvelope(np.eye(3), np.zeros(2))

@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kernel_reference import kernel_reference
 from wignermoments import states, wigner
 from wignermoments.errors import InvalidArgumentError, UnsupportedOperationError
-from wignermoments.quadrature import GridSpec
+from wignermoments.quadrature import GridSpec, ModeGrid
 
 PI = math.pi
 
@@ -138,64 +139,81 @@ def test_flat_synthesis_stops_at_the_last_nonzero_entry(monkeypatch):
     assert values[1] == pytest.approx((2.0 - 1.0) * math.exp(-1.0) / PI, rel=1e-14)
 
 
-def _kernel_reference(x, p, dim):
-    """The kernel loop with its Laguerre recurrence written out."""
-    u = x * x + p * p
-    two_u = 2.0 * u
-    xi = x - 1j * p
-    out = np.empty((x.size, dim, dim), dtype=complex)
-    for off in range(dim):
-        xipow = xi**off if off else np.ones_like(xi)
-        coupling = math.sqrt(2.0**off / math.gamma(off + 1))
-        lag_prev, lag = np.zeros(0), np.ones(x.size)
-        for n in range(dim - off):
-            if n == 1:
-                lag_prev, lag = lag, (1.0 + off) - two_u
-            elif n > 1:
-                lag_prev, lag = lag, (
-                    (2.0 * n - 1.0 + off - two_u) * lag - (n - 1.0 + off) * lag_prev
-                ) / n
-            if n > 0:
-                coupling *= math.sqrt(n / (n + off))
-            vals = ((-1.0 if n % 2 else 1.0) * coupling) * xipow * lag
-            out[:, n + off, n] = vals
-            if off:
-                out[:, n, n + off] = np.conj(vals)
-    return out * (np.exp(-u) / PI)[:, None, None]
-
-
 @pytest.mark.parametrize("dim", [1, 2, 7, 25])
 def test_fock_kernel_values_bit_identical_to_written_out_loop(dim):
     g = np.linspace(-3.0, 3.0, 13)
     x, p = (a.ravel() for a in np.meshgrid(g, g, indexing="ij"))
-    got = wigner.fock_kernel_values(x, p, dim)
-    assert np.array_equal(got, _kernel_reference(x, p, dim))
+    m, n = np.tril_indices(dim)
+    parts = [(a, b, 0) for a, b in zip(m, n)] + [(a, b, 1) for a, b in zip(m, n) if a > b]
+    parts = [parts[i] for i in np.random.default_rng(dim).permutation(len(parts))]
+    got = wigner.fock_kernel_values(x, p, parts)
+    want = kernel_reference(x, p, dim)
+    assert got.shape == (len(parts), x.size)
+    for row, (a, b, part) in zip(got, parts):
+        assert np.array_equal(row, want[:, a, b].imag if part else want[:, a, b].real)
 
 
 def test_fock_kernel_diagonal_reproduces_fock_wigner():
     x = np.array([0.4, -1.1])
     p = np.array([0.2, 0.9])
-    kern = wigner.fock_kernel_values(x, p, 5)  # shape (points, dim, dim)
+    table = wigner.fock_kernel_values(x, p, [(n, n, 0) for n in range(5)])
     for n in range(5):
         field = wigner.wigner_analytic(states.Fock(n))
         pts = np.stack([x, p], axis=1)
-        assert np.max(np.abs(kern[:, n, n].real - field(pts))) < 1e-14
-        assert np.max(np.abs(kern[:, n, n].imag)) < 1e-16
+        assert np.max(np.abs(table[n] - field(pts))) < 1e-14
 
 
 def test_fock_kernel_hermitian_pairing():
-    # K[m, n] = conj(K[n, m])
-    kern = wigner.fock_kernel_values(np.array([0.6]), np.array([-0.3]), 6)
-    assert np.max(np.abs(kern - np.conj(np.swapaxes(kern, 1, 2)))) < 1e-15
+    # K[n, m] = conj(K[m, n]) is read from the parts with m >= n, and K[n, n]
+    # is real, so the table holds no other part
+    for part in [(0, 1, 0), (2, 3, 1), (-1, -1, 0), (2, 2, 1), (3, 1, 2)]:
+        with pytest.raises(InvalidArgumentError):
+            wigner.fock_kernel_values(np.array([0.6]), np.array([-0.3]), [part])
 
 
-def test_fock_kernel_envelope_split():
-    x = np.array([0.5])
-    p = np.array([0.25])
-    full = wigner.fock_kernel_values(x, p, 4, include_envelope=True)
-    bare = wigner.fock_kernel_values(x, p, 4, include_envelope=False)
-    factor = math.exp(-(0.5**2 + 0.25**2)) / PI
-    assert np.allclose(full, bare * factor, rtol=1e-14)
+def _two_mode_reference(rho, z):
+    """sum R[(m1, n1), (m2, n2)] K[m1, n1](z1) K[m2, n2](z2), point by point."""
+    d = int(round(rho.shape[0] ** 0.5))
+    realigned = rho.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    k1 = kernel_reference(z[:, 0], z[:, 2], d).reshape(-1, d * d)
+    k2 = kernel_reference(z[:, 1], z[:, 3], d).reshape(-1, d * d)
+    return np.einsum("pi,ij,pj->p", k1, realigned, k2)
+
+
+def _random_two_mode_state(cutoff, seed):
+    rng = np.random.default_rng(seed)
+    d2 = (cutoff + 1) ** 2
+    g = rng.normal(size=(d2, 3)) + 1j * rng.normal(size=(d2, 3))
+    rho = g @ g.conj().T
+    return states.FockState(rho / np.trace(rho).real, modes=2)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [_random_two_mode_state(3, 7), states.noon_state(3, 0.4)],
+    ids=["random-cutoff-3", "noon-3"],
+)
+def test_two_mode_synthesis_matches_the_reference_on_points_and_grids(state):
+    field = wigner.wigner_fock_synthesis(state)
+    rng = np.random.default_rng(11)
+    x1, p1 = rng.uniform(-2.5, 2.5, size=(2, 9))
+    x2, p2 = rng.uniform(-2.5, 2.5, size=(2, 7))
+    block = field.evaluate(ModeGrid(x1, p1, x2, p2))
+    a, b = (g.ravel() for g in np.meshgrid(np.arange(9), np.arange(7), indexing="ij"))
+    z = np.stack([x1[a], x2[b], p1[a], p2[b]], axis=1)
+    want = _two_mode_reference(state.matrix, z)
+    assert np.max(np.abs(want.imag)) < 1e-14
+    assert np.max(np.abs(block.ravel() - want.real)) < 1e-14
+    assert np.max(np.abs(field(z) - want.real)) < 1e-14
+
+
+def test_noon_takes_two_mode_synthesis():
+    spec = states.Noon(3, 0.4)
+    field = wigner.wigner_analytic(spec)
+    assert field.label == states.spec_label(spec) and field.separable
+    z = probe(np.random.default_rng(5), 2)
+    synth = wigner.wigner_fock_synthesis(states.state_from_spec(spec))
+    assert np.array_equal(field(z), synth(z))
 
 
 def test_synthesis_requires_density_matrix_support():
@@ -287,73 +305,6 @@ def test_marginals_pick_each_modes_quadrature():
             assert marginal(field, mode, 0.6) == pytest.approx(expect[2], rel=1e-13)
     with pytest.raises(InvalidArgumentError):
         wigner.marginal_p(field, 2, xs)
-
-
-# ---------------------------------------------------------------------------
-# Weyl symbols and expectations
-
-
-def test_weyl_symbol_of_vacuum_projector():
-    x = np.array([0.0, 0.5, 1.1])
-    p = np.array([0.0, -0.4, 0.2])
-    sym = wigner.weyl_symbol(np.array([[1.0]]), x, p)
-    expect = 2.0 * np.exp(-(x**2 + p**2))
-    assert np.max(np.abs(sym - expect)) < 1e-14
-
-
-def test_weyl_symbol_of_fock_projectors_is_scaled_wigner():
-    # symbol of |n><n| equals 2 pi W_n
-    x = np.array([0.3, -0.9])
-    p = np.array([0.1, 0.6])
-    pts = np.stack([x, p], axis=1)
-    for n in range(4):
-        mat = np.zeros((5, 5))
-        mat[n, n] = 1.0
-        sym = wigner.weyl_symbol(mat, x, p)
-        field = wigner.wigner_analytic(states.Fock(n))
-        assert np.max(np.abs(sym.real - 2.0 * PI * field(pts))) < 1e-12
-        assert np.max(np.abs(sym.imag)) < 1e-12
-
-
-def test_expectation_recovers_populations():
-    field = wigner.wigner_analytic(states.MixedFock01(0.3))
-    proj0 = np.zeros((4, 4))
-    proj0[0, 0] = 1.0
-    proj1 = np.zeros((4, 4))
-    proj1[1, 1] = 1.0
-    assert wigner.expectation_phase_space(field, proj0) == pytest.approx(0.3, abs=1e-9)
-    assert wigner.expectation_phase_space(field, proj1) == pytest.approx(0.7, abs=1e-9)
-
-
-def test_expectation_number_operator():
-    field = wigner.wigner_analytic(states.Fock(2))
-    nmat = np.diag(np.arange(6.0))
-    assert wigner.expectation_phase_space(field, nmat) == pytest.approx(2.0, abs=1e-9)
-
-
-def test_expectation_two_mode_factors():
-    state = states.state_from_spec(states.Noon(1, 0.0))
-    field = wigner.wigner_fock_synthesis(state)
-    d = state.dim
-    nmat = np.diag(np.arange(float(d)))
-    eye = np.eye(d)
-    got = wigner.expectation_phase_space(field, (nmat, eye))
-    assert got == pytest.approx(0.5, abs=1e-9)
-    got_total = wigner.expectation_phase_space(field, (nmat, nmat))
-    assert got_total == pytest.approx(0.0, abs=1e-9)  # never both excited
-
-
-def test_expectation_rejects_non_hermitian():
-    field = wigner.wigner_analytic(states.Fock(0))
-    with pytest.raises(InvalidArgumentError):
-        wigner.expectation_phase_space(field, np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_two_mode_expectation_needs_diagonal_envelope():
-    field = wigner.wigner_analytic(states.Tmsv(0.4))  # correlated envelope
-    eye = np.eye(3)
-    with pytest.raises(UnsupportedOperationError):
-        wigner.expectation_phase_space(field, (eye, eye))
 
 
 # ---------------------------------------------------------------------------
