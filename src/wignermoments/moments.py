@@ -97,7 +97,10 @@ EXACT_ORDERS = {"gauss_hermite_tensor": exactness_order, "gauss_laguerre_polar":
 
 
 def _takes_polar(field: WignerField) -> bool:
-    return field.separable and field.envelope.polar_scale() is not None
+    """A one-mode field on PolarGrids, or a two-mode field in factor form,
+    with the polar rule's envelope."""
+    per_mode = field.separable if field.modes == 1 else field.factors is not None
+    return per_mode and field.envelope.polar_scale() is not None
 
 
 def default_quadrature(field: WignerField, m: int) -> QuadratureSpec:
@@ -110,7 +113,8 @@ def default_quadrature(field: WignerField, m: int) -> QuadratureSpec:
 
 def _integrals(field: WignerField, powers, quad: QuadratureSpec) -> list:
     """w_m for each m of powers on quad. The tensor rule takes one pass per
-    m; the polar rule evaluates a one-mode field once for all of them."""
+    m; the polar rule evaluates a one-mode field once for all of them, and
+    takes a two-mode field's factor form once per m."""
     if quad.scheme == "gauss_hermite_tensor":
         return [
             gauss_hermite_integral(
@@ -124,7 +128,8 @@ def _integrals(field: WignerField, powers, quad: QuadratureSpec) -> list:
         raise UnsupportedOperationError(
             "gauss_laguerre_polar supports one- and two-mode Fock-basis fields"
         )
-    return polar_power_integrals(field.evaluate, field.envelope, quad.order, powers)
+    f = field.evaluate if field.modes == 1 else field.factors
+    return polar_power_integrals(f, field.envelope, quad.order, powers)
 
 
 def moment(field: WignerField, m: int, quad: QuadratureSpec | None = None) -> float:

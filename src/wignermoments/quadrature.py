@@ -16,13 +16,14 @@ A field with an isotropic, centred envelope lam * I in one or two modes has
 a second, smaller exact rule: in each mode W^m is e^{-s} times a polynomial
 in s = m lam |z|^2 and a trigonometric polynomial in the angle, so
 Gauss-Laguerre nodes in s and an equispaced trapezoid in the angle integrate
-it exactly (polar_power_integrals, which takes the field and the powers m).
+it exactly (polar_power_integrals, which takes the field's evaluator and the
+powers m).
 A one-mode field that accepts a PolarGrid returns its (radii, angles)
 block; the rules of all powers share their angles, so their radii are
 stacked into one grid and the field is evaluated once for all of them. In
-two modes the rule is the product of the per-mode rule with itself: the
-field accepts a ModeGrid of per-mode node sets and returns its (n1, n2)
-block, one pass per power.
+two modes the rule is the product of the per-mode rule with itself, one
+pass per power: the field gives its factor form W = T1^T C T2 once on the
+pass's per-mode node set, and each block of mode-1 rows is formed from it.
 
 uniform_grid_integral, a midpoint rule on a box, serves the independent
 oracle.riemann_moment; it walks its grid in the same blocks as the
@@ -51,7 +52,6 @@ from .errors import (
 __all__ = [
     "GaussianEnvelope",
     "GridSpec",
-    "ModeGrid",
     "PolarGrid",
     "QuadratureSpec",
     "SCHEMES",
@@ -117,32 +117,6 @@ class GaussianEnvelope:
             v == (lam if i == j else 0.0) for i, row in enumerate(rows) for j, v in enumerate(row)
         )
         return lam if lam > 0.0 and isotropic else None
-
-
-@dataclass(frozen=True)
-class ModeGrid:
-    """Every pairing of a mode-1 node set with a mode-2 node set.
-
-    Node a of mode 1 is (x1[a], p1[a]) and node b of mode 2 is (x2[b], p2[b]);
-    the grid holds the phase-space points (x1[a], x2[b], p1[a], p2[b]). A field
-    evaluated on it returns the (len(x1), len(x2)) block of values.
-    """
-
-    x1: np.ndarray
-    p1: np.ndarray
-    x2: np.ndarray
-    p2: np.ndarray
-
-    # c * grid scales the coordinates instead of broadcasting over the object
-    __array_ufunc__ = None
-
-    def __len__(self) -> int:
-        return self.x1.size * self.x2.size
-
-    def __mul__(self, c) -> "ModeGrid":
-        return ModeGrid(c * self.x1, c * self.p1, c * self.x2, c * self.p2)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -376,16 +350,16 @@ def gauss_hermite_integral(f, envelope: GaussianEnvelope, order: int) -> float:
     return jac * math.fsum(partials)
 
 
-def _product_integral(f, x: np.ndarray, p: np.ndarray, w: np.ndarray) -> float:
-    """The 4-D rule on every pairing of the node set (x, p, w) in mode 1 with
-    the same set in mode 2, chunked over mode-1 rows."""
-    rows = max(1, BLOCK_NODES // x.size)
+def _product_integral(tables, w: np.ndarray, m: int) -> float:
+    """The 4-D rule of W^m on every pairing of a node set, weights w, with
+    itself, where W = T1^T C T2 from tables = (T1, C, T2) on that set;
+    chunked over mode-1 rows."""
+    t1, coupling, t2 = tables
+    rows = max(1, BLOCK_NODES // w.size)
     partials = []
-    for start in range(0, x.size, rows):
+    for start in range(0, w.size, rows):
         sl = slice(start, start + rows)
-        # a single block passes the node arrays themselves in both modes
-        grid = ModeGrid(x, p, x, p) if rows >= x.size else ModeGrid(x[sl], p[sl], x, p)
-        block = np.asarray(f(grid), dtype=float)
+        block = _power((t1[:, sl].T @ coupling) @ t2, m)
         # numpy reductions, not BLAS: a threaded gemv here leaves the BLAS
         # pool spinning into the single-threaded work that follows
         partials.append(float(np.sum(w[sl] * np.sum(block * w, axis=1))))
@@ -402,21 +376,21 @@ def _power(values, m: int):
 
 
 def polar_power_integrals(f, envelope: GaussianEnvelope, order: int, powers) -> list:
-    """integral f(z)^m dz over phase space for each m of powers, for
-    f ~ e^{-lam |z|^2} poly(z) in one or two modes.
+    """integral W(z)^m dz over phase space for each m of powers, for
+    W ~ e^{-lam |z|^2} poly(z) in one or two modes.
 
-    The envelope must be lam * I with centre 0, so f^m decays like
-    e^{-m lam |z|^2}. With s = m lam |z|^2 per mode the rule for f^m takes
+    The envelope must be lam * I with centre 0, so W^m decays like
+    e^{-m lam |z|^2}. With s = m lam |z|^2 per mode the rule for W^m takes
     `order` Gauss-Laguerre nodes in s and a 2 * order trapezoid in the
     angle; the rules of all powers share their angles and differ only in
-    their radii. In one mode the radii of the powers are stacked into one
-    PolarGrid, cut into calls of whole rules and at most MAX_POLAR_NODES
-    nodes, so f is called once for up to MAX_POLAR_NODES // (order * 2 order)
-    powers. Two modes take one pass per power: its nodes are flattened into one
-    per-mode node set, read-only and the same arrays for every block, and f
-    is called on ModeGrid row blocks of its pairings with itself (a pass of
-    one block passes those arrays as the mode-1 nodes too). Each rule
-    is exact when, in each mode, f^m e^{s} is a trigonometric polynomial of
+    their radii. In one mode f evaluates W on a PolarGrid: the radii of the
+    powers are stacked into one grid, cut into calls of whole rules and at
+    most MAX_POLAR_NODES nodes, so f is called once for up to
+    MAX_POLAR_NODES // (order * 2 order) powers. Two modes take one pass per
+    power: its nodes are flattened into one per-mode node set (x, p), and
+    f(x, p) returns the factor form (T1, C, T2) of W = T1^T C T2 on the
+    pairings of that set with itself, once per pass. Each rule
+    is exact when, in each mode, W^m e^{s} is a trigonometric polynomial of
     degree < 2 * order in the angle whose angular mean is a polynomial of
     degree < 2 * order in s; for a field of per-mode polynomial degree D
     both hold from order m * D // 4 + 1. Every size check runs before any
@@ -450,9 +424,7 @@ def polar_power_integrals(f, envelope: GaussianEnvelope, order: int, powers) -> 
             grid = PolarGrid.equispaced(r, n_theta)
             x = np.outer(grid.r, np.cos(grid.theta)).ravel()
             p = np.outer(grid.r, np.sin(grid.theta)).ravel()
-            x.flags.writeable = p.flags.writeable = False
-            integrand = lambda z, _m=m: _power(f(z), _m)
-            out.append(scale * scale * _product_integral(integrand, x, p, weights))
+            out.append(scale * scale * _product_integral(f(x, p), weights, m))
         return out
     per_call = MAX_POLAR_NODES // (order * n_theta)
     for start in range(0, len(rules), per_call):

@@ -41,7 +41,6 @@ __all__ = [
     "mixed_fock01",
     "noon_state",
     "param_type",
-    "partial_trace",
     "spec_label",
     "spec_modes",
     "spssv_min_cutoff",
@@ -532,15 +531,3 @@ def coherent_state_matrix(alpha: complex, cutoff: int) -> FockState:
     for n in range(1, cutoff + 1):
         ket[n] = ket[n - 1] * alpha / math.sqrt(n)
     return FockState.from_ket(ket, modes=1)
-
-
-def partial_trace(state: FockState, keep: int) -> FockState:
-    """Trace out one mode of a two-mode state; keep is 0 or 1."""
-    if state.modes != 2:
-        raise UnsupportedOperationError("partial_trace needs a two-mode state")
-    if keep not in (0, 1):
-        raise InvalidArgumentError(f"keep must be 0 or 1, got {keep}")
-    d = state.dim
-    rho4 = state.matrix.reshape(d, d, d, d)
-    reduced = np.trace(rho4, axis1=1, axis2=3) if keep == 0 else np.trace(rho4, axis1=0, axis2=2)
-    return FockState(reduced, modes=1, structural_psd=True)

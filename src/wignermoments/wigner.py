@@ -10,9 +10,10 @@ W = (1/pi) e^{-x^2-p^2}.
 Fock-basis states are synthesized from the cross-Wigner kernels K[m, n]
 (Cahill and Glauber, Phys. Rev. 177, 1882 (1969)). fock_kernel_values
 builds one real table of their Re and Im parts; two-mode synthesis (NOON
-included) contracts a table per mode through one real coupling matrix, and
-multicopy builds O_m from the same table on the real axis. One-mode
-synthesis sums the same series by angular sector.
+included) is W = T1^T C T2, a table per mode contracted through one real
+coupling matrix C, and hands the polar rule that factor form on each node
+set (WignerField.factors). multicopy builds O_m from the same table on the
+real axis. One-mode synthesis sums the same series by angular sector.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .errors import InvalidArgumentError, SizeLimitError, UnsupportedOperationEr
 from .quadrature import (
     GaussianEnvelope,
     GridSpec,
-    ModeGrid,
     PolarGrid,
     _cholesky,
     _node_tensor,
@@ -85,12 +85,14 @@ class WignerField:
     x_1..x_k, p_1..p_k) to n real values. polynomial_degree is the degree
     of the polynomial W * exp(+(z - c)^T Q (z - c)) in one mode's
     coordinates (x_i, p_i), the largest over the modes. separable marks a
-    field whose evaluate also accepts its product grid and returns the
-    block of values there: a ModeGrid, (n1, n2), for two-mode Fock
-    synthesis (NOON included), whose per-mode kernel tables meet in one
-    coupling matrix and whose envelope never couples the modes; a
-    PolarGrid, (radii, angles), for a one-mode field built from angular
-    sectors (Fock, the 0/1 mixture, Fock synthesis).
+    one-mode field built from angular sectors (Fock, the 0/1 mixture, Fock
+    synthesis), whose evaluate also accepts a PolarGrid and returns its
+    (radii, angles) block of values. factors is set on a two-mode Fock-basis
+    field (two-mode synthesis, NOON included), whose envelope never couples
+    the modes: factors(x, p) returns (T1, C, T2), per-mode kernel tables on
+    the one-mode node set (x, p) and their real coupling matrix, so that
+    T1^T C T2 is the block of values on every pairing of that set with
+    itself. T2 is T1 when both modes read the same kernel parts.
     """
 
     modes: int
@@ -99,6 +101,7 @@ class WignerField:
     polynomial_degree: int
     label: str = ""
     separable: bool = False
+    factors: callable = None
 
     def __call__(self, points):
         points = np.asarray(points, dtype=float)
@@ -145,31 +148,6 @@ def _laguerre(alpha: int, x: np.ndarray, count: int):
             tmp /= n
             prev, cur, tmp = cur, tmp, prev
         yield cur
-
-
-def _mode_two_memo(build):
-    """build(x, p) for a ModeGrid's mode-2 node set, kept for the next call.
-
-    The polar product rule passes the same read-only mode-2 arrays with
-    every row block of a pass, so their kernel table is built once per pass.
-    Writable arrays are never kept: their contents may change between calls.
-    A miss drops the kept entry before building, so one pass's factors are
-    released before the next pass builds its own.
-    """
-    kept = [None]
-
-    def factors(x, p):
-        entry, kept[0] = kept[0], None
-        if entry is not None and entry[0] is x and entry[1] is p:
-            kept[0] = entry
-            return entry[2]
-        del entry
-        value = build(x, p)
-        if not (x.flags.writeable or p.flags.writeable):
-            kept[0] = (x, p, value)
-        return value
-
-    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -569,20 +547,17 @@ def wigner_fock_synthesis(state: FockState, label: str | None = None) -> WignerF
                 return _synth_polar_one_mode(table, state.dim, z)
             return _synth_values_one_mode(rho, z)
 
+        factors = None
     else:
         parts1, coupling, parts2 = _two_mode_coupling(state.matrix, state.dim)
-        mode_two = _mode_two_memo(lambda x, p: fock_kernel_values(x, p, parts2))
         same_parts = np.array_equal(parts1, parts2)
 
         def evaluate(z):
-            if isinstance(z, ModeGrid):
-                t2 = mode_two(z.x2, z.p2)
-                if same_parts and z.x1 is z.x2 and z.p1 is z.p2:
-                    t1 = t2  # one block of a node set paired with itself
-                else:
-                    t1 = fock_kernel_values(z.x1, z.p1, parts1)
-                return (t1.T @ coupling) @ t2
             return _synth_flat_two_mode(parts1, coupling, parts2, z)
+
+        def factors(x, p):
+            t1 = fock_kernel_values(x, p, parts1)
+            return t1, coupling, t1 if same_parts else fock_kernel_values(x, p, parts2)
 
     k = state.modes
     return WignerField(
@@ -591,7 +566,8 @@ def wigner_fock_synthesis(state: FockState, label: str | None = None) -> WignerF
         envelope=GaussianEnvelope(np.eye(2 * k), np.zeros(2 * k)),
         polynomial_degree=2 * state.cutoff,
         label=label or f"fock_synthesis(k={k},cutoff={state.cutoff})",
-        separable=True,
+        separable=k == 1,
+        factors=factors,
     )
 
 
@@ -600,7 +576,11 @@ def wigner_fock_synthesis(state: FockState, label: str | None = None) -> WignerF
 
 
 def dilate(field: WignerField, c: float) -> WignerField:
-    """Dilation W'(z) = c^{2k} W(c z); moments scale as c^{2k(m-1)} w_m."""
+    """Dilation W'(z) = c^{2k} W(c z); moments scale as c^{2k(m-1)} w_m.
+
+    A factor form T1^T C T2 dilates to the base's tables at the scaled
+    nodes, with c^{2k} folded into C.
+    """
     if not (c > 0.0) or not math.isfinite(c):
         raise InvalidArgumentError(f"dilation factor must be positive, got {c}")
     k = field.modes
@@ -608,6 +588,13 @@ def dilate(field: WignerField, c: float) -> WignerField:
 
     def evaluate(z):
         return scale * field.evaluate(c * z)
+
+    factors = None
+    if field.factors is not None:
+
+        def factors(x, p):
+            t1, coupling, t2 = field.factors(c * x, c * p)
+            return t1, scale * coupling, t2
 
     return WignerField(
         modes=k,
@@ -618,6 +605,7 @@ def dilate(field: WignerField, c: float) -> WignerField:
         polynomial_degree=field.polynomial_degree,
         label=f"dilate({field.label},c={float(c)!r})",
         separable=field.separable,
+        factors=factors,
     )
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from wignermoments import moments, oracle, states, wigner
 from wignermoments.errors import InvalidArgumentError, NonFiniteResultError
-from wignermoments.quadrature import GridSpec, ModeGrid, QuadratureSpec, hermgauss_cached
+from wignermoments.quadrature import GridSpec, QuadratureSpec, hermgauss_cached
 
 PI = math.pi
 
@@ -98,24 +98,29 @@ def _random_two_mode_state(rng, cutoff):
 def test_product_rule_matches_flat_reference():
     rng = np.random.default_rng(7)
     fields = [field_of(states.Noon(N, phi)) for N in range(1, 7) for phi in (0.0, 0.7, PI)]
-    # a numpy scalar factor must scale the per-mode nodes, not broadcast over them
+    # dilated factor forms, by a float and by a numpy scalar
     fields += [wigner.dilate(field_of(states.Noon(2)), c) for c in (0.5, np.float64(2.0))]
     fields += [field_of(_random_two_mode_state(rng, c)) for c in (1, 2, 3)]
     for field in fields:
         seen = []
 
-        def evaluate(z, _f=field.evaluate):
-            seen.append(type(z))
-            return _f(z)
+        def evaluate(z):
+            raise AssertionError("a polar pass must not evaluate the field")
 
-        traced = dataclasses.replace(field, evaluate=evaluate)
+        def factors(x, p, _f=field.factors):
+            seen.append(x.size)
+            return _f(x, p)
+
+        traced = dataclasses.replace(field, evaluate=evaluate, factors=factors)
         for m in (1, 2, 3):
             order = moments.exactness_order(field, m)
             got = moments.moment(traced, m)
             assert got == pytest.approx(_flat_reference(field, m, order), rel=1e-13, abs=0), (
                 f"{field.label} m={m}"
             )
-        assert set(seen) == {ModeGrid}, field.label
+        # one factor form per pass, on the pass's whole per-mode node set
+        rules = [moments.polar_order(field, m) for m in (1, 2, 3)]
+        assert seen == [r * 2 * r for r in rules], field.label
 
 
 def test_coupled_envelope_keeps_flat_points():

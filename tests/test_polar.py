@@ -498,60 +498,43 @@ def _count_table_builds(monkeypatch):
     return built
 
 
-def test_mode_two_factors_are_built_once_per_pass(monkeypatch):
-    # one mode-1 table per row block, one mode-2 table per pass (5 passes);
-    # a small block size gives each pass many row blocks
-    monkeypatch.setattr(quadrature, "BLOCK_NODES", 64)
-    rng = np.random.default_rng(4)
-    g = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
-    rho = g @ g.conj().T
-    field = wigner.wigner_fock_synthesis(states.FockState(rho / np.trace(rho).real, modes=2))
-    field, seen = _recording(field)
-    built = _count_table_builds(monkeypatch)
+def _two_mode_field(rho):
+    return wigner.wigner_fock_synthesis(states.FockState(rho, modes=2))
+
+
+@pytest.mark.parametrize("block_nodes", [quadrature.BLOCK_NODES, 64])
+@pytest.mark.parametrize(
+    "field, tables",
+    [
+        (wigner.wigner_analytic(states.Noon(1)), 1),
+        (wigner.wigner_analytic(states.Noon(2)), 1),
+        # a dilated field builds as many tables as its base
+        (wigner.dilate(wigner.wigner_analytic(states.Noon(2)), 0.5), 1),
+        # 16 x 16: two modes at cutoff 3
+        (_two_mode_field(_random_rho(np.random.default_rng(4), 15)), 1),
+        (_two_mode_field(np.diag([0, 0, 0, 0.3, 0, 0, 0.7, 0, 0])), 2),
+    ],
+    # asymmetric: 0.3 |1,0><1,0| + 0.7 |2,0><2,0|, whose mode 1 reads the parts of
+    # |1><1| and |2><2| and mode 2 only that of |0><0|
+    ids=["noon-1", "noon-2", "dilated-noon-2", "random", "asymmetric"],
+)
+def test_each_pass_builds_one_table_per_distinct_mode(monkeypatch, block_nodes, field, tables):
+    # 5 passes: w1..w3, then w2 and w3 at twice the order; a small block size
+    # gives each pass many mode-1 row blocks, which slice the same tables
     quad = moments.default_quadrature(field, 3)
-    moments._moments_and_errors(field, quad, 3)
-    assert set(seen) == {quadrature.ModeGrid} and len(seen) > 100
-    assert len(built) == len(seen) + 5
-
-
-def test_noon_mode_two_factors_are_built_once_per_pass(monkeypatch):
-    monkeypatch.setattr(quadrature, "BLOCK_NODES", 64)
-    field, seen = _recording(wigner.wigner_analytic(states.Noon(2)))
+    want, _ = moments._moments_and_errors(field, quad, 3)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
     built = _count_table_builds(monkeypatch)
-    moments._moments_and_errors(field, moments.default_quadrature(field, 3), 3)
-    assert set(seen) == {quadrature.ModeGrid} and len(seen) > 100
-    assert len(built) == len(seen) + 5
-
-
-def test_single_block_passes_build_one_table(monkeypatch):
-    # at the default block size every pass of Noon(1) is one block, whose
-    # mode-1 nodes are the mode-2 nodes: one table per pass serves both modes
-    field, seen = _recording(wigner.wigner_analytic(states.Noon(1)))
-    built = _count_table_builds(monkeypatch)
-    w, _ = moments._moments_and_errors(field, moments.default_quadrature(field, 3), 3)
-    assert seen == [quadrature.ModeGrid] * 5
-    assert len(built) == 5
-    assert _rel(w[3], oracle.noon_closed_form_moment(1, 3)) <= 2e-14
+    w, _ = moments._moments_and_errors(field, quad, 3)
+    assert len(built) == 5 * tables
+    for m in (1, 2, 3):
+        assert _rel(w[m], want[m]) <= 1e-13
 
 
 @pytest.mark.parametrize(
-    "field",
-    [
-        wigner.wigner_analytic(states.Noon(3, 0.4)),
-        wigner.wigner_fock_synthesis(states.noon_state(2, cutoff=3)),
-    ],
-    ids=lambda f: f.label,
+    "spec, cutoff", [(states.Noon(10), None), (states.Spssv(0.5), 16)], ids=str
 )
-def test_mode_two_memo_matches_fresh_factors(field):
-    s, _ = laggauss_cached(6)
-    grid = PolarGrid.equispaced(np.sqrt(s), 12)
-    x = np.outer(grid.r, np.cos(grid.theta)).ravel()
-    p = np.outer(grid.r, np.sin(grid.theta)).ravel()
-    fresh = field.evaluate(quadrature.ModeGrid(x[:10], p[:10], x, p))  # writable: never kept
-    x.flags.writeable = p.flags.writeable = False
-    for start in (0, 10, 0):
-        sl = slice(start, start + 10)
-        kept = field.evaluate(quadrature.ModeGrid(x[sl], p[sl], x, p))
-        want = field.evaluate(quadrature.ModeGrid(x[sl], p[sl], x.copy(), p.copy()))
-        assert np.array_equal(kept, want)
-    assert np.array_equal(field.evaluate(quadrature.ModeGrid(x[:10], p[:10], x, p)), fresh)
+def test_analyze_builds_one_table_per_pass(monkeypatch, spec, cutoff):
+    built = _count_table_builds(monkeypatch)
+    moments.analyze(spec, cutoff=cutoff)
+    assert len(built) == 5
