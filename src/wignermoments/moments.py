@@ -96,11 +96,15 @@ def polar_order(field: WignerField, m: int) -> int:
 EXACT_ORDERS = {"gauss_hermite_tensor": exactness_order, "gauss_laguerre_polar": polar_order}
 
 
+def _per_mode(field: WignerField):
+    """The callable the polar rule takes: polar in one mode, factors in two."""
+    return field.polar if field.modes == 1 else field.factors
+
+
 def _takes_polar(field: WignerField) -> bool:
-    """A one-mode field on PolarGrids, or a two-mode field in factor form,
-    with the polar rule's envelope."""
-    per_mode = field.separable if field.modes == 1 else field.factors is not None
-    return per_mode and field.envelope.polar_scale() is not None
+    """A one-mode field with a polar block, or a two-mode field in factor
+    form, with the polar rule's envelope."""
+    return _per_mode(field) is not None and field.envelope.polar_scale() is not None
 
 
 def default_quadrature(field: WignerField, m: int) -> QuadratureSpec:
@@ -124,11 +128,11 @@ def _integrals(field: WignerField, powers, quad: QuadratureSpec) -> list:
             )
             for m in powers
         ]
-    if not _takes_polar(field):
+    f = _per_mode(field)
+    if f is None:
         raise UnsupportedOperationError(
             "gauss_laguerre_polar supports one- and two-mode Fock-basis fields"
         )
-    f = field.evaluate if field.modes == 1 else field.factors
     return polar_power_integrals(f, field.envelope, quad.order, powers)
 
 
@@ -345,8 +349,10 @@ def analyze(
     bound over the factors' own estimates. An explicit quad integrates the
     squeezed field itself, the cross-check of the core.
     """
-    if max_m < 3:
-        raise InvalidArgumentError("max_m must be >= 3 (criterion needs w2, w3)")
+    if not isinstance(max_m, (int, np.integer)) or max_m < 3:
+        raise InvalidArgumentError(
+            f"max_m must be an int >= 3 (criterion needs w2, w3), got {max_m}"
+        )
     core = _SYMPLECTIC_CORES.get(type(spec))
     if core is not None and quad is None and cutoff is None:
         return _analyze_core(spec, core(spec), max_m)
@@ -373,7 +379,10 @@ def _sweep_spec(family: str, value):
             f"unknown sweep family {family!r}; expected one of {SWEEP_FAMILIES}"
         )
     spec_cls = FAMILIES[family].spec
-    return spec_cls(param_type(fields(spec_cls)[0])(value))
+    kind = param_type(fields(spec_cls)[0])
+    if kind(value) != value:
+        raise InvalidArgumentError(f"{family} takes {kind.__name__} values, got {value!r}")
+    return spec_cls(kind(value))
 
 
 def sweep(family: str, values, quad: QuadratureSpec | None = None):

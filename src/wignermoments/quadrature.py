@@ -16,14 +16,15 @@ A field with an isotropic, centred envelope lam * I in one or two modes has
 a second, smaller exact rule: in each mode W^m is e^{-s} times a polynomial
 in s = m lam |z|^2 and a trigonometric polynomial in the angle, so
 Gauss-Laguerre nodes in s and an equispaced trapezoid in the angle integrate
-it exactly (polar_power_integrals, which takes the field's evaluator and the
-powers m).
-A one-mode field that accepts a PolarGrid returns its (radii, angles)
-block; the rules of all powers share their angles, so their radii are
-stacked into one grid and the field is evaluated once for all of them. In
-two modes the rule is the product of the per-mode rule with itself, one
-pass per power: the field gives its factor form W = T1^T C T2 once on the
-pass's per-mode node set, and each block of mode-1 rows is formed from it.
+it exactly (polar_power_integrals, which takes a per-mode callable of the
+field and the powers m).
+In one mode the callable is polar(r, n_theta), the field's (radii, angles)
+block at the angles 2 pi j / n_theta; the rules of all powers share their
+angles, so their radii are stacked and the field is evaluated once for all
+of them. In two modes the rule is the product of the per-mode rule with
+itself, one pass per power: the callable factors(x, p) gives the factor
+form W = T1^T C T2 once on the pass's per-mode node set, and each block of
+mode-1 rows is formed from it.
 
 uniform_grid_integral, a midpoint rule on a box, serves the independent
 oracle.riemann_moment; it walks its grid in the same blocks as the
@@ -52,7 +53,6 @@ from .errors import (
 __all__ = [
     "GaussianEnvelope",
     "GridSpec",
-    "PolarGrid",
     "QuadratureSpec",
     "SCHEMES",
     "gauss_hermite_integral",
@@ -117,43 +117,6 @@ class GaussianEnvelope:
             v == (lam if i == j else 0.0) for i, row in enumerate(rows) for j, v in enumerate(row)
         )
         return lam if lam > 0.0 and isotropic else None
-
-
-@dataclass(frozen=True)
-class PolarGrid:
-    """Every pairing of radii r with the equispaced angles 2 pi j / N, j < N.
-
-    Node (i, j) is the phase-space point (r[i] cos theta[j], r[i] sin theta[j]).
-    A one-mode field evaluated on it returns the (len(r), N) block of values.
-    The angles must be equispaced from 0: evaluators take them as one DFT.
-    """
-
-    r: np.ndarray
-    theta: np.ndarray
-
-    # c * grid scales the radii instead of broadcasting over the object
-    __array_ufunc__ = None
-
-    def __post_init__(self):
-        n = self.theta.size
-        if n < 1 or np.max(np.abs(self.theta - 2.0 * math.pi * np.arange(n) / n)) > 1e-12:
-            raise InvalidArgumentError("polar grid angles must be 2 pi j / N for j < N")
-
-    @classmethod
-    def equispaced(cls, r, n_theta: int) -> "PolarGrid":
-        return cls(np.asarray(r, dtype=float), 2.0 * math.pi * np.arange(n_theta) / n_theta)
-
-    @property
-    def shape(self) -> tuple:
-        return (self.r.size, self.theta.size)
-
-    def __len__(self) -> int:
-        return self.r.size * self.theta.size
-
-    def __mul__(self, c) -> "PolarGrid":
-        return PolarGrid(c * self.r, self.theta)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -383,9 +346,10 @@ def polar_power_integrals(f, envelope: GaussianEnvelope, order: int, powers) -> 
     e^{-m lam |z|^2}. With s = m lam |z|^2 per mode the rule for W^m takes
     `order` Gauss-Laguerre nodes in s and a 2 * order trapezoid in the
     angle; the rules of all powers share their angles and differ only in
-    their radii. In one mode f evaluates W on a PolarGrid: the radii of the
-    powers are stacked into one grid, cut into calls of whole rules and at
-    most MAX_POLAR_NODES nodes, so f is called once for up to
+    their radii. In one mode f(r, n_theta) returns the (len(r), n_theta)
+    block of W at the radii r and the angles 2 pi j / n_theta: the radii of
+    the powers are stacked into one array, cut into calls of whole rules and
+    at most MAX_POLAR_NODES nodes, so f is called once for up to
     MAX_POLAR_NODES // (order * 2 order) powers. Two modes take one pass per
     power: its nodes are flattened into one per-mode node set (x, p), and
     f(x, p) returns the factor form (T1, C, T2) of W = T1^T C T2 on the
@@ -414,23 +378,23 @@ def polar_power_integrals(f, envelope: GaussianEnvelope, order: int, powers) -> 
     s, ws = laggauss_cached(order)
     rules = []
     for m in powers:
-        lam_m = envelope.scaled(m).polar_scale()
+        lam_m = m * lam
         # dx dp = ds dtheta / (2 lam_m) per mode, and the trapezoid weight is 2 pi / n_theta
         rules.append((m, np.sqrt(s / lam_m), math.pi / (lam_m * n_theta)))
     out = []
     if two_modes:
         weights = np.repeat(ws, n_theta)
+        theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+        cos, sin = np.cos(theta), np.sin(theta)
         for m, r, scale in rules:
-            grid = PolarGrid.equispaced(r, n_theta)
-            x = np.outer(grid.r, np.cos(grid.theta)).ravel()
-            p = np.outer(grid.r, np.sin(grid.theta)).ravel()
+            x = np.outer(r, cos).ravel()
+            p = np.outer(r, sin).ravel()
             out.append(scale * scale * _product_integral(f(x, p), weights, m))
         return out
     per_call = MAX_POLAR_NODES // (order * n_theta)
     for start in range(0, len(rules), per_call):
         batch = rules[start : start + per_call]
-        grid = PolarGrid.equispaced(np.concatenate([r for _, r, _ in batch]), n_theta)
-        values = np.asarray(f(grid), dtype=float)
+        values = np.asarray(f(np.concatenate([r for _, r, _ in batch]), n_theta), dtype=float)
         for k, (m, _, scale) in enumerate(batch):
             block = _power(values[k * order : (k + 1) * order], m)
             out.append(scale * float(np.sum(ws * np.sum(block, axis=1))))

@@ -499,6 +499,8 @@ def state_from_spec(spec: StateSpec, cutoff: int | None = None):
     A FockCustom matrix is its own truncation: a cutoff other than its own
     is refused.
     """
+    if cutoff is not None and not isinstance(cutoff, (int, np.integer)):
+        raise InvalidArgumentError(f"cutoff must be an int or None, got {cutoff!r}")
     if isinstance(spec, GaussianCustom):
         return GaussianState(np.asarray(spec.mean), np.asarray(spec.covariance))
     if isinstance(spec, FockCustom):

@@ -13,7 +13,10 @@ builds one real table of their Re and Im parts; two-mode synthesis (NOON
 included) is W = T1^T C T2, a table per mode contracted through one real
 coupling matrix C, and hands the polar rule that factor form on each node
 set (WignerField.factors). multicopy builds O_m from the same table on the
-real axis. One-mode synthesis sums the same series by angular sector.
+real axis. One-mode synthesis sums the same series by angular sector, and
+hands the polar rule its block on radii times equispaced angles
+(WignerField.polar), as the Fock and 0/1-mixture closed forms do. evaluate
+takes flat points only.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .errors import InvalidArgumentError, SizeLimitError, UnsupportedOperationEr
 from .quadrature import (
     GaussianEnvelope,
     GridSpec,
-    PolarGrid,
     _cholesky,
     _node_tensor,
     _substitute,
@@ -68,8 +70,8 @@ REAL_TOL = 1e-10
 # takes about half the time of a single block.
 SYNTH_BLOCK_FLOATS = 131_072
 
-# Cap on the per-radius sector arrays of one-mode synthesis on a PolarGrid:
-# complex (radii, max(sectors, angles)) blocks, 16 bytes an entry.
+# Cap on the per-radius sector arrays of one-mode synthesis on the polar
+# rule: complex (radii, max(sectors, angles)) blocks, 16 bytes an entry.
 MAX_SECTOR_BYTES = 256_000_000
 
 # Cap on the points of a wigner_grid export (2000 x 2000): each point costs a
@@ -84,15 +86,17 @@ class WignerField:
     evaluate maps an (n, 2 * modes) array of phase-space points (ordered
     x_1..x_k, p_1..p_k) to n real values. polynomial_degree is the degree
     of the polynomial W * exp(+(z - c)^T Q (z - c)) in one mode's
-    coordinates (x_i, p_i), the largest over the modes. separable marks a
+    coordinates (x_i, p_i), the largest over the modes. The polar rule
+    takes a per-mode callable instead of evaluate. polar is set on a
     one-mode field built from angular sectors (Fock, the 0/1 mixture, Fock
-    synthesis), whose evaluate also accepts a PolarGrid and returns its
-    (radii, angles) block of values. factors is set on a two-mode Fock-basis
-    field (two-mode synthesis, NOON included), whose envelope never couples
-    the modes: factors(x, p) returns (T1, C, T2), per-mode kernel tables on
-    the one-mode node set (x, p) and their real coupling matrix, so that
-    T1^T C T2 is the block of values on every pairing of that set with
-    itself. T2 is T1 when both modes read the same kernel parts.
+    synthesis): polar(r, n_theta) returns the (len(r), n_theta) block of
+    values at the radii r and the angles 2 pi j / n_theta. factors is set on
+    a two-mode Fock-basis field (two-mode synthesis, NOON included), whose
+    envelope never couples the modes: factors(x, p) returns (T1, C, T2),
+    per-mode kernel tables on the one-mode node set (x, p) and their real
+    coupling matrix, so that T1^T C T2 is the block of values on every
+    pairing of that set with itself. T2 is T1 when both modes read the same
+    kernel parts.
     """
 
     modes: int
@@ -100,7 +104,7 @@ class WignerField:
     envelope: GaussianEnvelope
     polynomial_degree: int
     label: str = ""
-    separable: bool = False
+    polar: callable = None
     factors: callable = None
 
     def __call__(self, points):
@@ -157,22 +161,16 @@ def _laguerre(alpha: int, x: np.ndarray, count: int):
 def _radial_field(radial, degree: int, label: str) -> WignerField:
     """A one-mode field W(z) = radial(|z|^2) with the unit envelope.
 
-    On a PolarGrid the profile is evaluated once per radius and repeated
+    On the polar rule the profile is evaluated once per radius and repeated
     over the angles.
     """
-
-    def evaluate(z):
-        if isinstance(z, PolarGrid):
-            return np.repeat(radial(z.r * z.r)[:, None], z.theta.size, axis=1)
-        return radial(z[:, 0] ** 2 + z[:, 1] ** 2)
-
     return WignerField(
         modes=1,
-        evaluate=evaluate,
+        evaluate=lambda z: radial(z[:, 0] ** 2 + z[:, 1] ** 2),
         envelope=GaussianEnvelope(np.eye(2), np.zeros(2)),
         polynomial_degree=degree,
         label=label,
-        separable=True,
+        polar=lambda r, n_theta: np.repeat(radial(r * r)[:, None], n_theta, axis=1),
     )
 
 
@@ -467,14 +465,13 @@ def _sectors_on_angles(orders: np.ndarray, sectors: np.ndarray, n_theta: int) ->
     return np.fft.hfft(half, n_theta, axis=1)
 
 
-def _synth_polar_one_mode(table, dim: int, grid: PolarGrid) -> np.ndarray:
-    n_theta = grid.theta.size
-    nbytes = 16 * grid.r.size * max(dim, n_theta)
+def _synth_polar_one_mode(table, dim: int, r: np.ndarray, n_theta: int) -> np.ndarray:
+    nbytes = 16 * r.size * max(dim, n_theta)
     if nbytes > MAX_SECTOR_BYTES:
         raise SizeLimitError(
             f"polar synthesis needs {nbytes} bytes of sectors, cap {MAX_SECTOR_BYTES}"
         )
-    sectors = _synth_sectors_one_mode(table, grid.r)
+    sectors = _synth_sectors_one_mode(table, r)
     return _sectors_on_angles(table[0][:, 0], sectors, n_theta)
 
 
@@ -538,16 +535,17 @@ def _synth_flat_two_mode(parts1, coupling, parts2, z: np.ndarray) -> np.ndarray:
 
 def wigner_fock_synthesis(state: FockState, label: str | None = None) -> WignerField:
     """Wigner function synthesized from a truncated density matrix."""
+    polar = factors = None
     if state.modes == 1:
         rho = state.matrix
         table = _sector_table(rho)
 
         def evaluate(z):
-            if isinstance(z, PolarGrid):
-                return _synth_polar_one_mode(table, state.dim, z)
             return _synth_values_one_mode(rho, z)
 
-        factors = None
+        def polar(r, n_theta):
+            return _synth_polar_one_mode(table, state.dim, r, n_theta)
+
     else:
         parts1, coupling, parts2 = _two_mode_coupling(state.matrix, state.dim)
         same_parts = np.array_equal(parts1, parts2)
@@ -566,7 +564,7 @@ def wigner_fock_synthesis(state: FockState, label: str | None = None) -> WignerF
         envelope=GaussianEnvelope(np.eye(2 * k), np.zeros(2 * k)),
         polynomial_degree=2 * state.cutoff,
         label=label or f"fock_synthesis(k={k},cutoff={state.cutoff})",
-        separable=k == 1,
+        polar=polar,
         factors=factors,
     )
 
@@ -578,8 +576,9 @@ def wigner_fock_synthesis(state: FockState, label: str | None = None) -> WignerF
 def dilate(field: WignerField, c: float) -> WignerField:
     """Dilation W'(z) = c^{2k} W(c z); moments scale as c^{2k(m-1)} w_m.
 
-    A factor form T1^T C T2 dilates to the base's tables at the scaled
-    nodes, with c^{2k} folded into C.
+    A polar block dilates to c^2 times the base's block at the radii c r,
+    and a factor form T1^T C T2 to the base's tables at the scaled nodes,
+    with c^{2k} folded into C.
     """
     if not (c > 0.0) or not math.isfinite(c):
         raise InvalidArgumentError(f"dilation factor must be positive, got {c}")
@@ -589,7 +588,12 @@ def dilate(field: WignerField, c: float) -> WignerField:
     def evaluate(z):
         return scale * field.evaluate(c * z)
 
-    factors = None
+    polar = factors = None
+    if field.polar is not None:
+
+        def polar(r, n_theta):
+            return scale * field.polar(c * r, n_theta)
+
     if field.factors is not None:
 
         def factors(x, p):
@@ -604,7 +608,7 @@ def dilate(field: WignerField, c: float) -> WignerField:
         ),
         polynomial_degree=field.polynomial_degree,
         label=f"dilate({field.label},c={float(c)!r})",
-        separable=field.separable,
+        polar=polar,
         factors=factors,
     )
 

@@ -226,6 +226,11 @@ def test_analyze_with_cutoff_uses_synthesis():
     rep = moments.analyze(states.Fock(1), cutoff=9)
     assert rep.cutoff == 9
     assert rep.moments[3] == pytest.approx(1.0 / (27.0 * PI**2), rel=1e-10)
+    assert moments.analyze(states.Fock(1), cutoff=np.int64(9)).moments == rep.moments
+    # a float cutoff used to reach np.zeros as a bare TypeError
+    for spec in (states.Fock(1), states.Tmsv(0.3), states.FockCustom.from_matrix(np.eye(3) / 3)):
+        with pytest.raises(InvalidArgumentError, match="cutoff must be an int"):
+            moments.analyze(spec, cutoff=9.0)
 
 
 def test_analyze_flags_low_order():
@@ -234,8 +239,10 @@ def test_analyze_flags_low_order():
 
 
 def test_analyze_requires_three_moments():
-    with pytest.raises(InvalidArgumentError):
-        moments.analyze(states.Fock(0), max_m=2)
+    for max_m in (2, 3.5, 3.0, "3"):
+        with pytest.raises(InvalidArgumentError, match="max_m must be an int >= 3"):
+            moments.analyze(states.Fock(0), max_m=max_m)
+    assert sorted(moments.analyze(states.Fock(2), max_m=np.int64(4)).moments) == [1, 2, 3, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +258,11 @@ def test_analyze_refuses_non_finite_moments():
 
 
 def nan_field(field):
-    return dataclasses.replace(field, evaluate=lambda z: field.evaluate(z) * np.nan)
+    return dataclasses.replace(
+        field,
+        evaluate=lambda z: field.evaluate(z) * np.nan,
+        polar=lambda r, n_theta: field.polar(r, n_theta) * np.nan,
+    )
 
 
 @pytest.mark.parametrize("route", ["polar", "tensor", "core"])
@@ -313,6 +324,13 @@ def test_sweep_fock_rows_format(tmp_path):
     content = path.read_text()
     assert content.startswith("param,w2,w3,delta,verdict\n0,")
     assert content.endswith("\n")
+
+
+def test_sweep_refuses_non_integral_values_of_int_fields():
+    # int() used to truncate them: fock 2.7 reported Fock(2)'s moments
+    for family, value in (("fock", 2.7), ("noon", 1.9), ("noon", np.float64(1.5))):
+        with pytest.raises(InvalidArgumentError, match=f"{family} takes int values"):
+            moments.sweep(family, [value])
 
 
 def test_sweep_unknown_family():

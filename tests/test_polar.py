@@ -9,15 +9,10 @@ import numpy as np
 import pytest
 
 from wignermoments import cli, moments, oracle, quadrature, soundness, states, wigner
-from wignermoments.errors import (
-    InvalidArgumentError,
-    SizeLimitError,
-    UnsupportedOperationError,
-)
+from wignermoments.errors import SizeLimitError, UnsupportedOperationError
 from wignermoments.quadrature import (
     MAX_POLAR_NODES,
     MAX_TENSOR_NODES,
-    PolarGrid,
     QuadratureSpec,
     laggauss_cached,
 )
@@ -40,31 +35,41 @@ def _random_rho(rng, cutoff, rank=3):
     return rho / np.trace(rho).real
 
 
-def _points(grid):
-    """The polar grid as flat (x, p) points, radius index slowest."""
-    x = grid.r[:, None] * np.cos(grid.theta)[None, :]
-    p = grid.r[:, None] * np.sin(grid.theta)[None, :]
+def _points(r, n_theta):
+    """The radii r times the angles 2 pi j / n_theta as flat (x, p) points,
+    radius index slowest."""
+    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    x = r[:, None] * np.cos(theta)[None, :]
+    p = r[:, None] * np.sin(theta)[None, :]
     return np.stack([x.ravel(), p.ravel()], axis=1)
 
 
-def _recording(field):
-    seen = []
-
-    def evaluate(z, _f=field.evaluate):
-        seen.append(type(z))
-        return _f(z)
-
-    return dataclasses.replace(field, evaluate=evaluate), seen
+def _nodes(r, n_theta):
+    return r.size * n_theta
 
 
-def _logged(field, log, entry):
-    """The field with entry(z) appended to log at every evaluate call."""
+def _logged(field, log, entry, polar_entry=lambda r, n_theta: "polar"):
+    """The field with entry(z) appended to log at every evaluate call, and
+    polar_entry(r, n_theta) at every call of its polar block."""
 
     def evaluate(z, _f=field.evaluate):
         log.append(entry(z))
         return _f(z)
 
-    return dataclasses.replace(field, evaluate=evaluate)
+    def polar(r, n_theta, _f=field.polar):
+        log.append(polar_entry(r, n_theta))
+        return _f(r, n_theta)
+
+    return dataclasses.replace(
+        field, evaluate=evaluate, polar=None if field.polar is None else polar
+    )
+
+
+def _recording(field):
+    """The field and the list of its calls: the type of each evaluate
+    argument, "polar" for each polar call."""
+    seen = []
+    return _logged(field, seen, type), seen
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +145,7 @@ def test_noon_and_symplectic_cores_take_the_polar_rule():
 def test_polar_moment_evaluates_one_polar_grid():
     field, seen = _recording(wigner.wigner_analytic(states.Fock(4)))
     moments.moment(field, 3)
-    assert seen == [PolarGrid]
+    assert seen == ["polar"]
 
 
 def test_explicit_tensor_spec_is_honoured():
@@ -149,6 +154,50 @@ def test_explicit_tensor_spec_is_honoured():
     got = moments.moment(field, 3, quad)
     assert set(seen) == {np.ndarray}
     assert got == pytest.approx(exact(states.Fock(4), 3), rel=1e-12)
+
+
+def _flat_only(field, calls):
+    """The field, failing unless evaluate gets a 2-D float ndarray of width 2k."""
+
+    def evaluate(z, _f=field.evaluate):
+        assert type(z) is np.ndarray and z.dtype == np.float64, (field.label, type(z))
+        assert z.ndim == 2 and z.shape[1] == 2 * field.modes, (field.label, z.shape)
+        calls.append(z.shape)
+        return _f(z)
+
+    return dataclasses.replace(field, evaluate=evaluate)
+
+
+TENSOR = QuadratureSpec(order=12)
+
+
+@pytest.mark.parametrize(
+    "spec, cutoff, quad",
+    [
+        (states.Fock(3), None, None),  # one-mode polar
+        (states.MixedFock01(0.3), 4, None),  # one-mode synthesis, polar
+        (states.Noon(2), None, None),  # two-mode polar
+        (states.Spssv(0.4, 1), None, None),  # core
+        (states.GaussianCustom.from_arrays(np.zeros(2), np.eye(2)), None, None),  # dilated core
+        (states.Fock(3), None, TENSOR),
+        (states.Tmsv(0.3), None, TENSOR),
+        (states.Noon(1), None, TENSOR),
+    ],
+    ids=str,
+)
+def test_evaluate_takes_only_flat_float_points(monkeypatch, spec, cutoff, quad):
+    calls = []
+    for name in ("wigner_analytic", "wigner_fock_synthesis", "wigner_gaussian", "dilate"):
+        build = getattr(moments, name)
+        monkeypatch.setattr(
+            moments, name, lambda *a, _b=build, **kw: _flat_only(_b(*a, **kw), calls)
+        )
+    moments.analyze(spec, quad=quad, cutoff=cutoff)
+    field, _ = moments.field_for(spec, cutoff)
+    for f in (field, moments.dilate(field, 0.7)):
+        moments.moment(f, 3, quad)
+    if quad is TENSOR:
+        assert calls
 
 
 def test_polar_scheme_refuses_other_fields():
@@ -259,18 +308,14 @@ def test_polar_evaluators_match_flat_points(n_theta):
         wigner.wigner_analytic(states.Fock(5)),
         wigner.wigner_analytic(states.MixedFock01(0.3)),
     ]
-    grid = PolarGrid.equispaced(np.array([0.0, 0.3, 1.1, 2.5]), n_theta)
+    c = 0.7
+    fields.append(wigner.dilate(fields[0], c))
+    r = np.array([0.0, 0.3, 1.1, 2.5])
     for field in fields:
-        flat = field.evaluate(_points(grid)).reshape(grid.shape)
-        assert np.allclose(field.evaluate(grid), flat, rtol=0.0, atol=1e-15), field.label
-
-
-def test_polar_grid_layout_and_scaling():
-    grid = PolarGrid.equispaced([1.0, 2.0], 4)
-    assert grid.shape == (2, 4) and len(grid) == 8
-    assert np.array_equal((np.float64(0.5) * grid).r, [0.5, 1.0])
-    with pytest.raises(InvalidArgumentError):
-        PolarGrid(np.ones(2), np.array([0.0, 1.0]))
+        flat = field.evaluate(_points(r, n_theta)).reshape(r.size, n_theta)
+        assert np.allclose(field.polar(r, n_theta), flat, rtol=0.0, atol=1e-15), field.label
+    # the dilated block is c^2 times the base's at the radii c r, bit for bit
+    assert np.array_equal(fields[-1].polar(r, n_theta), c**2 * fields[0].polar(c * r, n_theta))
 
 
 def test_dilated_fock_scales_moments():
@@ -281,7 +326,7 @@ def test_dilated_fock_scales_moments():
             got = moments.moment(field, m)
             want = c ** (2 * (m - 1)) * exact(states.Fock(3), m)
             assert _rel(got, want) <= 1e-13
-        assert set(seen) == {PolarGrid}
+        assert set(seen) == {"polar"}
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +477,7 @@ def test_one_mode_analyze_evaluates_two_polar_grids():
     for field in _one_mode_fields()[::10]:
         recorded, seen = _recording(field)
         moments._moments_and_errors(recorded, moments.default_quadrature(field, 3), 3)
-        assert seen == [PolarGrid, PolarGrid], field.label
+        assert seen == ["polar", "polar"], field.label
 
 
 @pytest.mark.parametrize(
@@ -449,7 +494,7 @@ def test_core_route_evaluates_two_polar_grids_per_distinct_factor(monkeypatch, s
     build = moments.wigner_analytic
     monkeypatch.setattr(moments, "wigner_analytic", lambda s: _logged(build(s), seen, type))
     moments.analyze(spec)
-    assert seen == [PolarGrid] * calls
+    assert seen == ["polar"] * calls
 
 
 def test_explicit_tensor_spec_keeps_one_pass_per_moment():
@@ -467,7 +512,7 @@ def test_stack_splits_into_whole_rules_under_the_node_cap(monkeypatch):
     # room for one rule of the doubled order, or four of the order, per call
     monkeypatch.setattr(quadrature, "MAX_POLAR_NODES", 2 * quad.order * 4 * quad.order)
     sizes = []
-    assert moments._moments_and_errors(_logged(field, sizes, len), quad, 5) == want
+    assert moments._moments_and_errors(_logged(field, sizes, len, _nodes), quad, 5) == want
     rule = quad.order * 2 * quad.order
     assert sizes == [4 * rule, rule] + [4 * rule] * 4
 
@@ -476,7 +521,7 @@ def test_order_700_runs_and_order_708_is_refused_per_rule():
     # the stacked rules at order 700 take 3 * 980,000 nodes in one call; the
     # doubled order is 1400 * 2800 = 3,920,000 nodes per rule, one rule a call
     sizes = []
-    field = _logged(wigner.wigner_analytic(states.Fock(1)), sizes, len)
+    field = _logged(wigner.wigner_analytic(states.Fock(1)), sizes, len, _nodes)
     w, errors = moments._moments_and_errors(field, QuadratureSpec(POLAR, 700), 3)
     assert sizes == [3 * 700 * 1400, 1400 * 2800, 1400 * 2800]
     for m in (1, 2, 3):
