@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from .errors import InvalidArgumentError, UnsupportedOperationError, WignerMomentsError
 
@@ -73,9 +74,18 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+@contextmanager
+def _writing(path: str):
+    """A failed write to path is a usage error, as a failed config read is."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", newline="\n") as fh:
+        with _writing(out), open(out, "w", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -226,16 +236,11 @@ def cmd_figure(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    from . import wigner
+    from . import moments, wigner
     from .quadrature import GridSpec
 
     spec = _state_spec(args)
-    if args.cutoff is None:
-        field = wigner.wigner_analytic(spec)
-    else:
-        from . import moments
-
-        field, _ = moments.field_for(spec, args.cutoff)
+    field, _ = moments.field_for(spec, args.cutoff)
     gspec = GridSpec(half_width=args.half_width, points_per_axis=args.points)
     xs, ps, values = wigner.wigner_grid(field, gspec)
     # the repr of each value as a Python float, as _fmt gives it, taken once
@@ -280,7 +285,8 @@ def cmd_multicopy(args) -> int:
     }
     if args.dump_operator:
         op = o2 if args.dump_m == 2 else o3
-        op.dump(args.dump_operator)
+        with _writing(args.dump_operator):
+            op.dump(args.dump_operator)
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0
 

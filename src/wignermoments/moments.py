@@ -204,27 +204,42 @@ class MomentReport:
 REPORT_KEYS = {"state", "k", "cutoff", "quadrature", "w", "delta", "verdict", "est_error"}
 
 
+def _typed(key: str, value, kinds):
+    if isinstance(value, bool) or not isinstance(value, kinds):  # a bool is no number here
+        raise InvalidArgumentError(f"report {key} has a value of the wrong type: {value!r}")
+    return value
+
+
 def read_report(text: str) -> MomentReport:
-    """Parse a report written by MomentReport.to_json; rejects unknown keys."""
-    data = json.loads(text)
+    """Parse a report written by MomentReport.to_json; rejects unknown keys
+    and any value of another type or range than to_json writes."""
+    try:
+        data = _typed("document", json.loads(text), dict)
+    except json.JSONDecodeError as exc:
+        raise InvalidArgumentError(f"report is not JSON: {exc}") from None
     unknown = set(data) - REPORT_KEYS
     if unknown:
         raise InvalidArgumentError(f"unknown report keys: {sorted(unknown)}")
     missing = REPORT_KEYS - set(data)
     if missing:
         raise InvalidArgumentError(f"missing report keys: {sorted(missing)}")
-    qdata = data["quadrature"]
+    qdata = _typed("quadrature", data["quadrature"], dict)
     if set(qdata) != {"scheme", "order"}:
         raise InvalidArgumentError(f"malformed quadrature block: {sorted(qdata)}")
+    w = _typed("w", data["w"], dict)
+    if not all(m.isascii() and m.isdigit() for m in w):
+        raise InvalidArgumentError(f"report w keys must be ints, got {sorted(w)}")
+    if data["verdict"] not in (CERTIFIED, INCONCLUSIVE):
+        raise InvalidArgumentError(f"unknown verdict {data['verdict']!r}")
     return MomentReport(
-        state=data["state"],
-        modes=int(data["k"]),
-        cutoff=None if data["cutoff"] is None else int(data["cutoff"]),
-        quadrature=QuadratureSpec(scheme=qdata["scheme"], order=int(qdata["order"])),
-        moments={int(m): float(v) for m, v in data["w"].items()},
-        delta=float(data["delta"]),
-        verdict=str(data["verdict"]),
-        est_error=float(data["est_error"]),
+        state=_typed("state", data["state"], str),
+        modes=_typed("k", data["k"], int),
+        cutoff=_typed("cutoff", data["cutoff"], (int, type(None))),
+        quadrature=QuadratureSpec(qdata["scheme"], _typed("order", qdata["order"], int)),
+        moments={int(m): float(_typed(f"w[{m}]", v, (float, int))) for m, v in w.items()},
+        delta=float(_typed("delta", data["delta"], (float, int))),
+        verdict=data["verdict"],
+        est_error=float(_typed("est_error", data["est_error"], (float, int))),
     )
 
 

@@ -149,10 +149,10 @@ class TruncatedOperator:
         out[self._positions()] = self.values
         return out
 
-    def safe_slice(self, levels: int = SAFE_BOUNDARY_LEVELS) -> np.ndarray:
-        """Restriction to basis states with every register below cutoff+1-levels."""
+    def safe_slice(self) -> np.ndarray:
+        """Restriction to basis states with every register below cutoff+1-SAFE_BOUNDARY_LEVELS."""
         occupations = np.indices((self.dim,) * self.modes).reshape(self.modes, -1)
-        idx = np.nonzero(np.all(occupations <= self.cutoff - levels, axis=0))[0]
+        idx = np.nonzero(np.all(occupations <= self.cutoff - SAFE_BOUNDARY_LEVELS, axis=0))[0]
         return self.matrix[np.ix_(idx, idx)]
 
     def dump(self, path) -> None:
@@ -401,9 +401,7 @@ def _register_permutations(dim_per_mode: int, copies: int):
     return swap_register, cyclic
 
 
-def forward_backward_protocol(
-    state: FockState, m: int = 3, max_side: int = DEFAULT_MAX_SIDE
-) -> float:
+def forward_backward_protocol(state: FockState, m: int = 3) -> float:
     """Tr[rho^(x)m P_cyc] for a two-mode state, i.e. Tr[rho^m].
 
     Builds the cyclic permutation of m copies the way the measurement
@@ -419,10 +417,10 @@ def forward_backward_protocol(
         raise InvalidArgumentError("forward_backward_protocol needs m >= 2")
     dm = state.dim
     side = (dm * dm) ** m
-    if side > max_side:
+    if side > DEFAULT_MAX_SIDE:
         raise SizeLimitError(
             f"{m} copies of a two-mode state at cutoff {dm - 1} give side "
-            f"{side} > limit {max_side}"
+            f"{side} > limit {DEFAULT_MAX_SIDE}"
         )
     swap_register, cyclic = _register_permutations(dm, m)
 

@@ -324,16 +324,16 @@ def noon_state(N: int, phi: float = math.pi, cutoff: int | None = None) -> FockS
     return FockState.from_ket(ket, modes=2)
 
 
-def tmsv_min_cutoff(r: float, tail: float = TRUNCATION_TAIL) -> int:
-    """Smallest per-mode cutoff keeping discarded weight <= tail.
+def tmsv_min_cutoff(r: float) -> int:
+    """Smallest per-mode cutoff keeping discarded weight <= TRUNCATION_TAIL.
 
     Photon-pair weights are (1 - lam^2) lam^{2n}, lam = tanh r, so the
     discarded probability above cutoff c is exactly lam^{2(c+1)}.
     """
     lam = math.tanh(r)
     if lam >= 1.0:  # tanh(r) rounds to 1
-        raise CutoffTooSmallError(f"no finite cutoff reaches tail {tail:g} for r={r}")
-    c = math.ceil(math.log(tail) / (2.0 * math.log(lam)) - 1.0)
+        raise CutoffTooSmallError(f"no finite cutoff reaches tail {TRUNCATION_TAIL:g} for r={r}")
+    c = math.ceil(math.log(TRUNCATION_TAIL) / (2.0 * math.log(lam)) - 1.0)
     return max(1, c)
 
 
@@ -374,20 +374,20 @@ def tmsv_gaussian(r: float) -> GaussianState:
     return GaussianState(np.zeros(4), cov)
 
 
-def spssv_min_cutoff(r: float, tail: float = TRUNCATION_TAIL) -> int:
+def spssv_min_cutoff(r: float) -> int:
     """Smallest cutoff for the photon-subtracted state (weights ~ n lam^{2n})."""
     lam2 = math.tanh(r) ** 2
     if lam2 >= 1.0:  # tanh(r) rounds to 1
-        raise CutoffTooSmallError(f"no finite cutoff reaches tail {tail:g} for r={r}")
+        raise CutoffTooSmallError(f"no finite cutoff reaches tail {TRUNCATION_TAIL:g} for r={r}")
     total = lam2 / (1.0 - lam2) ** 2
     c = 1
     while c < 100_000:
         # sum_{n > c} n q^n = q^{c+1} ((c+1)(1-q) + q) / (1-q)^2, q = lam2
         t = lam2 ** (c + 1) * ((c + 1) * (1.0 - lam2) + lam2) / (1.0 - lam2) ** 2
-        if t <= tail * total:
+        if t <= TRUNCATION_TAIL * total:
             return c
         c += 1
-    raise CutoffTooSmallError(f"no practical cutoff reaches tail {tail:g} for r={r}")
+    raise CutoffTooSmallError(f"no practical cutoff reaches tail {TRUNCATION_TAIL:g} for r={r}")
 
 
 def spssv_state(r: float, parity: int = 1, cutoff: int | None = None) -> FockState:

@@ -13,10 +13,11 @@ builds one real table of their Re and Im parts; two-mode synthesis (NOON
 included) is W = T1^T C T2, a table per mode contracted through one real
 coupling matrix C, and hands the polar rule that factor form on each node
 set (WignerField.factors). multicopy builds O_m from the same table on the
-real axis. One-mode synthesis sums the same series by angular sector, and
-hands the polar rule its block on radii times equispaced angles
-(WignerField.polar), as the Fock and 0/1-mixture closed forms do. evaluate
-takes flat points only.
+real axis. One-mode synthesis sums the same series into angular sectors
+S_d(r) and hands the polar rule its block on radii times equispaced angles
+(WignerField.polar), as the Fock and 0/1-mixture closed forms do: two real
+products of the sectors with cos and sin tables of d theta. evaluate takes
+flat points only.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ REAL_TOL = 1e-10
 # takes about half the time of a single block.
 SYNTH_BLOCK_FLOATS = 131_072
 
-# Cap on the per-radius sector arrays of one-mode synthesis on the polar
-# rule: complex (radii, max(sectors, angles)) blocks, 16 bytes an entry.
+# Cap on the arrays of one-mode synthesis on the polar rule: the complex
+# (radii, sectors) radials and the real (radii, angles) block, counted as
+# 16 bytes an entry of (radii, max(sectors, angles)), which bounds both.
 MAX_SECTOR_BYTES = 256_000_000
 
 # Cap on the points of a wigner_grid export (2000 x 2000): each point costs a
@@ -442,37 +444,23 @@ def _synth_sectors_one_mode(table, r: np.ndarray) -> np.ndarray:
     return (acc * (np.exp(expo) / math.pi)).T
 
 
-def _sectors_on_angles(orders: np.ndarray, sectors: np.ndarray, n_theta: int) -> np.ndarray:
-    """S_0 + 2 Re sum_{d>0} S_d e^{-2 pi i d j / N} for j < N, as one real DFT.
-
-    numpy's hfft takes a half spectrum a_0..a_{N//2} and returns
-    Re a_0 + 2 Re sum_{0<k<N/2} a_k e^{-2 pi i k j / N} (+ Re a_{N/2} (-1)^j
-    for even N). e^{-i d theta_j} depends only on k = d mod N, so sector d
-    adds to a_k, conjugated onto a_{N-k} past N/2, and twice over where hfft
-    counts a term once (k = 0 or N/2 with d > 0).
-    """
-    d = orders.astype(int)
-    k = d % n_theta
-    mirrored = 2 * k > n_theta
-    once = (d > 0) & ((k == 0) | (2 * k == n_theta))
-    column = np.where(mirrored, n_theta - k, k)
-    terms = np.where(mirrored, np.conj(sectors), sectors) * np.where(once, 2.0, 1.0)
-    half = np.zeros((sectors.shape[0], n_theta // 2 + 1), dtype=complex)
-    if np.all(np.diff(column) > 0):  # no two sectors share a column
-        half[:, column] = terms
-    else:
-        np.add.at(half, (slice(None), column), terms)
-    return np.fft.hfft(half, n_theta, axis=1)
-
-
 def _synth_polar_one_mode(table, dim: int, r: np.ndarray, n_theta: int) -> np.ndarray:
+    """W = sum_d c_d (Re S_d cos d theta + Im S_d sin d theta), c_0 = 1, c_d = 2, at
+    theta_j = 2 pi j / n_theta: two real products of the sectors with phase tables."""
     nbytes = 16 * r.size * max(dim, n_theta)
     if nbytes > MAX_SECTOR_BYTES:
         raise SizeLimitError(
             f"polar synthesis needs {nbytes} bytes of sectors, cap {MAX_SECTOR_BYTES}"
         )
     sectors = _synth_sectors_one_mode(table, r)
-    return _sectors_on_angles(table[0][:, 0], sectors, n_theta)
+    orders = table[0]
+    # d theta_j reduced to 2 pi ((d j) mod n_theta) / n_theta in integers
+    theta = (2.0 * math.pi / n_theta) * ((orders.astype(int) * np.arange(n_theta)) % n_theta)
+    weight = np.where(orders > 0, 2.0, 1.0)
+    block = sectors.real @ (weight * np.cos(theta))
+    if np.iscomplexobj(sectors):  # Im S_d = 0 for every d of a real rho
+        block += sectors.imag @ (weight * np.sin(theta))
+    return block
 
 
 def _pair_parts(pairs: np.ndarray, dim: int):
@@ -613,7 +601,7 @@ def dilate(field: WignerField, c: float) -> WignerField:
     )
 
 
-def _marginal(field: WignerField, mode: int, coord: int, values, order: int | None):
+def _marginal(field: WignerField, mode: int, coord: int, values):
     """Marginal of one mode's x (coord 0) or p (coord 1)."""
     if not (0 <= mode < field.modes):
         raise InvalidArgumentError(f"mode {mode} out of range for k={field.modes}")
@@ -625,8 +613,7 @@ def _marginal(field: WignerField, mode: int, coord: int, values, order: int | No
     center = field.envelope.center
     q_rr = form[np.ix_(rest, rest)]
     q_rf = form[rest, axis]
-    if order is None:
-        order = max(8, field.polynomial_degree // 2 + 4)
+    order = max(8, field.polynomial_degree // 2 + 4)
     values = np.atleast_1d(np.asarray(values, dtype=float))
     # The reduced form q_rr is the same for every section; only the envelope
     # center slides with the fixed coordinate (completing the square in that
@@ -652,14 +639,14 @@ def _marginal(field: WignerField, mode: int, coord: int, values, order: int | No
     return float(out[0]) if scalar else out
 
 
-def marginal_x(field: WignerField, mode: int, x, order: int | None = None):
+def marginal_x(field: WignerField, mode: int, x):
     """Position marginal of one mode: all other coordinates integrated out."""
-    return _marginal(field, mode, 0, x, order)
+    return _marginal(field, mode, 0, x)
 
 
-def marginal_p(field: WignerField, mode: int, p, order: int | None = None):
+def marginal_p(field: WignerField, mode: int, p):
     """Momentum marginal of one mode."""
-    return _marginal(field, mode, 1, p, order)
+    return _marginal(field, mode, 1, p)
 
 
 # ---------------------------------------------------------------------------

@@ -449,6 +449,24 @@ def test_config_missing_file(capsys):
     assert "cannot read config" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "table1", "--out"],
+        ["analyze", "--state", "fock", "--n", "1", "--out"],
+        ["multicopy", "--state", "fock", "--n", "1", "--cutoff", "3", "--dump-operator"],
+    ],
+    ids=["table-out", "analyze-out", "dump-operator"],
+)
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
+    # used to end in a FileNotFoundError traceback and exit 1
+    path = tmp_path / "missing" / "out.csv"
+    code, out, err = run(capsys, argv + [str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error (invalid-argument): cannot write {path}: ")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # determinism and the module entry point
 

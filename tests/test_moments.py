@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 import math
 
 import numpy as np
@@ -293,8 +294,6 @@ def test_report_json_round_trip_is_byte_stable():
 
 def test_read_report_rejects_unknown_and_missing_keys():
     rep = moments.analyze(states.Fock(0))
-    import json
-
     data = json.loads(rep.to_json())
     data["surprise"] = 1
     with pytest.raises(InvalidArgumentError):
@@ -303,6 +302,38 @@ def test_read_report_rejects_unknown_and_missing_keys():
     del data["delta"]
     with pytest.raises(InvalidArgumentError):
         moments.read_report(json.dumps(data))
+
+
+def _report_with(**changes):
+    data = json.loads(moments.analyze(states.Fock(2), cutoff=4).to_json())
+    data.update(changes)
+    return json.dumps(data)
+
+
+MALFORMED_REPORTS = {
+    "not-json": "{",
+    "not-an-object": "3",
+    "k-string": _report_with(k="x"),
+    "k-float": _report_with(k=1.7),
+    "k-bool": _report_with(k=True),
+    "cutoff-float": _report_with(cutoff=3.9),
+    "quadrature-int": _report_with(quadrature=5),
+    "order-float": _report_with(quadrature={"scheme": "gauss_laguerre_polar", "order": 2.5}),
+    "w-list": _report_with(w=[1]),
+    "w-key-word": _report_with(w={"two": 0.1}),
+    "w-value-string": _report_with(w={"1": "1.0"}),
+    "delta-string": _report_with(delta="x"),
+    "verdict-unknown": _report_with(verdict="Certainly"),
+    "state-int": _report_with(state=3),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_REPORTS.values(), ids=MALFORMED_REPORTS)
+def test_read_report_refuses_malformed_values(text):
+    # each used to raise a bare JSON/Type/Value/AttributeError or to pass,
+    # truncating a float k, cutoff or order to an int
+    with pytest.raises(InvalidArgumentError):
+        moments.read_report(text)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def test_truncated_operator_validation_and_props():
 
 def test_safe_slice_keeps_interior_levels():
     op = multicopy.swap_operator(4)
-    sub = op.safe_slice(levels=2)
+    sub = op.safe_slice()
     assert sub.shape == (9, 9)  # both registers restricted to 0..2
 
 

@@ -299,12 +299,14 @@ def test_two_mode_synthesis_runs_past_the_tensor_cap(spec, cutoff):
 # the polar grid and its evaluators
 
 
-@pytest.mark.parametrize("n_theta", [1, 2, 3, 4, 5, 7, 16])
+@pytest.mark.parametrize("n_theta", [1, 2, 3, 4, 5, 7, 16, 122])
 def test_polar_evaluators_match_flat_points(n_theta):
-    # n_theta below the cutoff folds the high angular sectors onto the DFT
+    # n_theta below the cutoff aliases the high angular sectors onto the low
+    # ones; 122 is the exact-order angle count of w_3 at cutoff 40
     rng = np.random.default_rng(n_theta)
     fields = [
         wigner.wigner_fock_synthesis(states.FockState(_random_rho(rng, 6))),
+        wigner.wigner_fock_synthesis(states.FockState(_random_rho(rng, 40))),
         wigner.wigner_analytic(states.Fock(5)),
         wigner.wigner_analytic(states.MixedFock01(0.3)),
     ]
@@ -316,6 +318,14 @@ def test_polar_evaluators_match_flat_points(n_theta):
         assert np.allclose(field.polar(r, n_theta), flat, rtol=0.0, atol=1e-15), field.label
     # the dilated block is c^2 times the base's at the radii c r, bit for bit
     assert np.array_equal(fields[-1].polar(r, n_theta), c**2 * fields[0].polar(c * r, n_theta))
+
+
+@pytest.mark.parametrize("spec", [states.Fock(3), states.MixedFock01(0.3)], ids=str)
+def test_diagonal_synthesis_block_is_the_same_on_every_angle(spec):
+    # a diagonal rho has only the sector d = 0, which no angle phase touches
+    field = wigner.wigner_fock_synthesis(states.state_from_spec(spec, 9))
+    block = field.polar(np.array([0.0, 0.3, 1.1, 2.5]), 16)
+    assert np.array_equal(block, np.broadcast_to(block[:, :1], block.shape))
 
 
 def test_dilated_fock_scales_moments():
