@@ -26,34 +26,9 @@ import os
 import sys
 from contextlib import contextmanager
 
-from .errors import InvalidArgumentError, UnsupportedOperationError, WignerMomentsError
+from .errors import InvalidArgumentError, UnsupportedOperationError, WignerMomentsError, check_int
 
 THREAD_ENV = "WIGNERMOMENTS_THREADS"
-
-_CONFIG_TYPES = {
-    "state": str,
-    "n": int,
-    "N": int,
-    "phi": float,
-    "r": float,
-    "parity": int,
-    "lam": float,
-    "cutoff": int,
-    "scheme": str,
-    "order": int,
-    "format": str,
-    "out": str,
-    "start": float,
-    "stop": float,
-    "steps": int,
-    "half_width": float,
-    "points": int,
-    "max_side": int,
-    "dump_operator": str,
-    "dump_m": int,
-    "seed": int,
-    "count": int,
-}
 
 STATE_CHOICES = ("vacuum", "fock", "noon", "tmsv", "spssv", "mixed01")
 # quadrature.SCHEMES, spelled out so that --help imports no numpy
@@ -66,12 +41,6 @@ def _apply_thread_env() -> None:
         return
     for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[key] = value
-
-
-def _fmt(x) -> str:
-    if isinstance(x, int):
-        return str(x)
-    return repr(float(x))
 
 
 @contextmanager
@@ -112,8 +81,6 @@ def _state_spec(args):
         raise InvalidArgumentError("--state is required (flag or config file)")
     if name == "vacuum":
         return states.Fock(0)
-    if name not in states.FAMILIES:
-        raise InvalidArgumentError(f"unknown state {name!r}")
     # each spec field has its own flag; one without a default is required
     spec_cls = states.FAMILIES[name].spec
     kwargs = {}
@@ -148,6 +115,7 @@ def cmd_analyze(args) -> int:
     import numpy as np
 
     from . import moments
+    from .moments import _fmt
 
     spec = _state_spec(args)
     # moments._report turns a non-finite result into exit 3 with one error
@@ -168,6 +136,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_table(args) -> int:
     from . import moments
+    from .moments import _fmt
 
     if args.table == "table1":
         results = moments.sweep("noon", range(1, 6))
@@ -208,17 +177,13 @@ def _mixed_lambda_star() -> float:
     return 0.5 * (lo + hi)
 
 
-def _require_positive(flag: str, value: int) -> None:
-    if value < 1:
-        raise InvalidArgumentError(f"{flag} must be >= 1, got {value}")
-
-
 def cmd_figure(args) -> int:
     import numpy as np
 
     from . import moments
+    from .moments import _fmt
 
-    _require_positive("--steps", args.steps)
+    check_int("--steps", args.steps, 1)
     if args.figure == "fig1":
         results = moments.sweep("noon", range(1, 6))
     elif args.figure == "fig2":
@@ -243,7 +208,7 @@ def cmd_grid(args) -> int:
     field, _ = moments.field_for(spec, args.cutoff)
     gspec = GridSpec(half_width=args.half_width, points_per_axis=args.points)
     xs, ps, values = wigner.wigner_grid(field, gspec)
-    # the repr of each value as a Python float, as _fmt gives it, taken once
+    # the repr of each value as a Python float, as moments._fmt gives it, taken once
     ps_text = list(map(repr, ps.tolist()))
     coords = (f"{x},{p}" for x in map(repr, xs.tolist()) for p in ps_text)
     rows = map(",".join, zip(coords, map(repr, values.ravel().tolist())))
@@ -259,11 +224,10 @@ def cmd_multicopy(args) -> int:
         raise UnsupportedOperationError(
             "multicopy observables act per register; pick a single-mode state"
         )
-    cutoff = args.cutoff if args.cutoff is not None else 8
-    state = states.state_from_spec(spec, cutoff=cutoff)
+    state = states.state_from_spec(spec, cutoff=args.cutoff)
 
-    o2 = multicopy.multicopy_observable(2, cutoff, max_side=args.max_side)
-    o3 = multicopy.multicopy_observable(3, cutoff, max_side=args.max_side)
+    o2 = multicopy.multicopy_observable(2, args.cutoff, max_side=args.max_side)
+    o3 = multicopy.multicopy_observable(3, args.cutoff, max_side=args.max_side)
     w2_op = multicopy.multicopy_expectation(o2, [state, state]).real
     w3_op = multicopy.multicopy_expectation(o3, [state, state, state]).real
 
@@ -273,7 +237,7 @@ def cmd_multicopy(args) -> int:
 
     report = {
         "state": states.spec_label(spec),
-        "cutoff": cutoff,
+        "cutoff": args.cutoff,
         "w2_multicopy": w2_op,
         "w2_quadrature": w2_quad,
         "w2_deviation": abs(w2_op - w2_quad),
@@ -294,7 +258,7 @@ def cmd_multicopy(args) -> int:
 def cmd_selftest(args) -> int:
     from . import moments, soundness
 
-    _require_positive("--count", args.count)
+    check_int("--count", args.count, 1)
     base = args.count // 5
     specs = soundness.positive_state_specs(
         args.seed,
@@ -390,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_multi = sub.add_parser("multicopy", help="operator route vs quadrature")
     _add_state_flags(p_multi)
-    p_multi.add_argument("--cutoff", type=int, default=None)
+    p_multi.add_argument("--cutoff", type=int, default=8)
     p_multi.add_argument("--max-side", dest="max_side", type=int, default=4096)
     p_multi.add_argument("--dump-operator", dest="dump_operator", default=None)
     p_multi.add_argument("--dump-m", dest="dump_m", type=int, choices=(2, 3), default=2)
@@ -407,7 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, targets) -> dict:
+    """key=value defaults, each key a flag's dest in `targets`, typed and
+    choice-checked as the flag is."""
+    actions = {
+        action.dest: action
+        for target in targets
+        for action in target._actions
+        if action.option_strings and action.dest != "help"
+    }
     values = {}
     try:
         with open(path) as fh:
@@ -421,14 +393,18 @@ def _load_config(path: str) -> dict:
                     )
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in _CONFIG_TYPES:
+                if key not in actions:
                     raise InvalidArgumentError(f"{path}:{lineno}: unknown key {key!r}")
+                action = actions[key]
                 try:
-                    values[key] = _CONFIG_TYPES[key](value.strip())
+                    value = (action.type or str)(value.strip())
+                    if action.choices is not None and value not in action.choices:
+                        raise ValueError(f"{value!r} is not one of {tuple(action.choices)}")
                 except ValueError as exc:
                     raise InvalidArgumentError(
                         f"{path}:{lineno}: bad value for {key}: {exc}"
                     ) from exc
+                values[key] = value
     except OSError as exc:
         raise InvalidArgumentError(f"cannot read config {path}: {exc}") from exc
     return values
@@ -442,7 +418,7 @@ def main(argv=None) -> int:
     known, _ = pre.parse_known_args(argv)
     try:
         if known.config:
-            defaults = _load_config(known.config)
+            defaults = _load_config(known.config, parser.config_targets)
             for target in parser.config_targets:
                 target.set_defaults(**defaults)
         args = parser.parse_args(argv)

@@ -39,6 +39,7 @@ from .errors import (
     SizeLimitError,
     TruncationWarning,
     UnsupportedOperationError,
+    check_int,
 )
 from .quadrature import laggauss_cached
 from .states import FockState, annihilation_matrix
@@ -200,8 +201,7 @@ def _unitary_from_hermitian(h: np.ndarray, phase: float) -> np.ndarray:
 
 def swap_operator(cutoff: int) -> TruncatedOperator:
     """Two-mode SWAP as the exact permutation |m,n> -> |n,m>."""
-    if cutoff < 1:
-        raise InvalidArgumentError("swap_operator needs cutoff >= 1")
+    check_int("swap_operator cutoff", cutoff, 1)
     d = cutoff + 1
     mat = np.zeros((d * d, d * d))
     states = np.arange(d * d)  # |m,n> is state m*d + n
@@ -216,8 +216,7 @@ def swap_operator_exponential(cutoff: int) -> TruncatedOperator:
     fit inside the cutoff; the boundary sectors are distorted because the
     truncated b'b is not the true number operator there.
     """
-    if cutoff < 1:
-        raise InvalidArgumentError("swap_operator_exponential needs cutoff >= 1")
+    check_int("swap_operator_exponential cutoff", cutoff, 1)
     a1, a2 = _pair_annihilation(cutoff)
     b = (a1 - a2) / math.sqrt(2.0)
     mat = _unitary_from_hermitian(b.conj().T @ b, math.pi)
@@ -231,8 +230,7 @@ def swap_quadrature_form(cutoff: int) -> TruncatedOperator:
     squares reach one level further than b'b does, so the safe subspace
     loses an extra level relative to swap_operator_exponential.
     """
-    if cutoff < 1:
-        raise InvalidArgumentError("swap_quadrature_form needs cutoff >= 1")
+    check_int("swap_quadrature_form cutoff", cutoff, 1)
     a1, a2 = _pair_annihilation(cutoff)
     x_rel = (a1 + a1.conj().T - a2 - a2.conj().T) / math.sqrt(2.0)
     p_rel = -1j * (a1 - a1.conj().T - a2 + a2.conj().T) / math.sqrt(2.0)
@@ -249,8 +247,7 @@ def displaced_parity(alpha: complex, cutoff: int) -> TruncatedOperator:
     to the cutoff scale push weight past the truncation and degrade this;
     a warning marks that regime.
     """
-    if cutoff < 1:
-        raise InvalidArgumentError("displaced_parity needs cutoff >= 1")
+    check_int("displaced_parity cutoff", cutoff, 1)
     alpha = complex(alpha)
     if abs(alpha) > 0.5 * math.sqrt(cutoff):
         warnings.warn(
@@ -288,10 +285,10 @@ def multicopy_observable(m: int, cutoff: int, max_side: int = DEFAULT_MAX_SIDE) 
     fewest that make the rule exact. The vacuum comes out at
     w_m = 1/(m*pi^{m-1}), and for m=2 the whole matrix is SWAP/(2pi).
     """
+    check_int("multicopy_observable m", m)
     if m not in (2, 3):
         raise UnsupportedOperationError("multicopy_observable supports m in {2, 3}")
-    if cutoff < 1:
-        raise InvalidArgumentError("multicopy_observable needs cutoff >= 1")
+    check_int("multicopy_observable cutoff", cutoff, 1)
     d = cutoff + 1
     side = d**m
     if side > max_side:
@@ -413,8 +410,7 @@ def forward_backward_protocol(state: FockState, m: int = 3) -> float:
     """
     if not isinstance(state, FockState) or state.modes != 2:
         raise InvalidArgumentError("forward_backward_protocol needs a two-mode FockState")
-    if m < 2:
-        raise InvalidArgumentError("forward_backward_protocol needs m >= 2")
+    check_int("forward_backward_protocol m", m, 2)
     dm = state.dim
     side = (dm * dm) ** m
     if side > DEFAULT_MAX_SIDE:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SizeLimitError, TruncationWarning
+from .errors import InvalidArgumentError, SizeLimitError, TruncationWarning, check_int
 from .quadrature import GridSpec, uniform_grid_integral
 from .states import Fock, FockState, MixedFock01, StateSpec
 from .wigner import WignerField
@@ -44,8 +44,7 @@ TAIL_WARN_RATIO = 1e-9
 
 def riemann_moment(field: WignerField, m: int, grid: GridSpec | None = None) -> float:
     """Midpoint-rule moment integral of W^m on [-L, L]^{2k}."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidArgumentError(f"moment order must be a positive int, got {m}")
+    check_int("moment order", m, 1)
     k = field.modes
     if grid is None:
         try:
@@ -83,8 +82,7 @@ def _warn_if_box_tight(field: WignerField, m: int, grid: GridSpec) -> None:
 
 def trace_power(state: FockState, m: int) -> float:
     """Tr[rho^m] via eigenvalues (rho is validated Hermitian)."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidArgumentError(f"power must be a positive int, got {m}")
+    check_int("power", m, 1)
     eig = np.linalg.eigvalsh(state.matrix)
     return float(np.sum(eig**m))
 
@@ -141,8 +139,7 @@ def radial_closed_form_moment(spec: StateSpec, m: int) -> float:
     Supports Fock(n) for any n, m and MixedFock01(lam). Exact modulo the
     final float conversion (one rounding).
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidArgumentError(f"moment order must be a positive int, got {m}")
+    check_int("moment order", m, 1)
     profile = _RADIAL_PROFILES.get(type(spec))
     if profile is None:
         raise InvalidArgumentError(
@@ -175,8 +172,7 @@ def noon_closed_form_moment(N: int, m: int) -> float:
     Derived by the angular reduction above; N = 1 reproduces 1/(81 pi^4)
     for w3 and every N gives w2 = 1/(4 pi^2) (purity of a pure state).
     """
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise InvalidArgumentError(f"noon photon number must be >= 1, got {N}")
+    check_int("noon photon number", N, 1)
     lag = _laguerre_2u_coeffs(N)
     u_pow_n = [Fraction(0)] * N + [Fraction(1)]
     fact = Fraction(math.factorial(N))

@@ -48,6 +48,8 @@ from .errors import (
     InvalidArgumentError,
     SizeLimitError,
     UnsupportedOperationError,
+    check_int,
+    check_positive,
 )
 
 __all__ = [
@@ -127,14 +129,9 @@ class GridSpec:
     points_per_axis: int
 
     def __post_init__(self):
-        if not (self.half_width > 0.0):
-            raise InvalidArgumentError(
-                f"half_width must be positive, got {self.half_width}"
-            )
-        if not isinstance(self.points_per_axis, (int, np.integer)) or self.points_per_axis < 16:
-            raise InvalidArgumentError(
-                f"points_per_axis must be an int >= 16, got {self.points_per_axis}"
-            )
+        check_positive("half_width", self.half_width)
+        check_positive("grid span 2 * half_width", 2.0 * self.half_width)
+        check_int("points_per_axis", self.points_per_axis, 16)
 
 
 @dataclass(frozen=True)
@@ -156,8 +153,7 @@ class QuadratureSpec:
             raise InvalidArgumentError(
                 f"unknown quadrature scheme {self.scheme!r}; expected one of {SCHEMES}"
             )
-        if not isinstance(self.order, (int, np.integer)) or self.order < 1:
-            raise InvalidArgumentError(f"quadrature order must be >= 1, got {self.order}")
+        check_int("quadrature order", self.order, 1)
 
 
 @lru_cache(maxsize=64)
@@ -410,10 +406,9 @@ def uniform_grid_integral(
     points_per_axis: int,
 ) -> float:
     """Midpoint rule on [-L, L]^dims with points_per_axis cells per axis."""
-    if not (half_width > 0.0):
-        raise InvalidArgumentError(f"half_width must be positive, got {half_width}")
-    if points_per_axis < 2:
-        raise InvalidArgumentError("need at least 2 points per axis")
+    check_positive("half_width", half_width)
+    check_positive("grid span 2 * half_width", 2.0 * half_width)
+    check_int("points_per_axis", points_per_axis, 2)
     _check_size("uniform grid", points_per_axis, dims)
     h = 2.0 * half_width / points_per_axis
     axis = -half_width + h * (np.arange(points_per_axis) + 0.5)

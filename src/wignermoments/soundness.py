@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_int
 from .states import FockCustom, FockState, GaussianCustom, coherent_state_matrix
 
 __all__ = [
@@ -73,6 +74,7 @@ def random_coherent_mixture_spec(
 
 def positive_state_specs(seed: int, gaussians_1: int, gaussians_2: int, mixtures: int):
     """Labelled positive-Wigner specs, deterministic in the seed."""
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     out = []
     for i in range(gaussians_1):

@@ -20,6 +20,8 @@ from .errors import (
     InvalidArgumentError,
     SizeLimitError,
     UnsupportedOperationError,
+    check_int,
+    check_positive,
 )
 
 __all__ = [
@@ -79,8 +81,7 @@ class Fock:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
-            raise InvalidArgumentError(f"fock photon number must be >= 0, got {self.n}")
+        check_int("fock photon number", self.n, 0)
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,7 @@ class Noon:
     phi: float = math.pi
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
-            raise InvalidArgumentError(f"noon photon number must be >= 1, got {self.N}")
+        check_int("noon photon number", self.N, 1)
         if not (0.0 <= self.phi < 2.0 * math.pi):
             raise InvalidArgumentError(
                 f"noon phase must lie in [0, 2*pi), got {self.phi}"
@@ -106,8 +106,7 @@ class Tmsv:
     r: float
 
     def __post_init__(self):
-        if not (self.r > 0.0) or not math.isfinite(self.r):
-            raise InvalidArgumentError(f"tmsv squeezing must be > 0, got {self.r}")
+        check_positive("tmsv squeezing", self.r)
 
 
 @dataclass(frozen=True)
@@ -118,10 +117,8 @@ class Spssv:
     parity: int = 1
 
     def __post_init__(self):
-        if not (self.r > 0.0) or not math.isfinite(self.r):
-            raise InvalidArgumentError(f"spssv squeezing must be > 0, got {self.r}")
-        if self.parity not in (0, 1):
-            raise InvalidArgumentError(f"spssv parity must be 0 or 1, got {self.parity}")
+        check_positive("spssv squeezing", self.r)
+        check_int("spssv parity", self.parity, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -181,10 +178,9 @@ class FockState:
 
     def __init__(self, matrix, modes: int = 1, *, structural_psd: bool = False):
         matrix = np.asarray(matrix, dtype=complex)
+        check_int("modes", modes)
         if modes not in (1, 2):
-            raise UnsupportedOperationError(
-                f"Fock-basis states support 1 or 2 modes, got {modes}"
-            )
+            raise UnsupportedOperationError(f"Fock-basis states support 1 or 2 modes, got {modes}")
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise InvalidArgumentError(f"density matrix must be square, got {matrix.shape}")
         side = matrix.shape[0]
@@ -295,32 +291,19 @@ def symplectic_form(k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# catalog constructors
+# the catalog family table
 
 
-def fock_state(n: int, cutoff: int | None = None) -> FockState:
-    """|n><n| truncated at `cutoff` (default: exactly n)."""
-    Fock(n)  # validates n
-    if cutoff is None:
-        cutoff = n
-    if cutoff < n:
-        raise CutoffTooSmallError(f"cutoff {cutoff} cannot hold |{n}>")
-    ket = np.zeros(cutoff + 1, dtype=complex)
-    ket[n] = 1.0
+def _fock_build(spec: Fock, d: int) -> FockState:
+    ket = np.zeros(d, dtype=complex)
+    ket[spec.n] = 1.0
     return FockState.from_ket(ket, modes=1)
 
 
-def noon_state(N: int, phi: float = math.pi, cutoff: int | None = None) -> FockState:
-    """(|N,0> + e^{i phi}|0,N>)/sqrt(2) as a two-mode density matrix."""
-    Noon(N, phi)
-    if cutoff is None:
-        cutoff = N
-    if cutoff < N:
-        raise CutoffTooSmallError(f"cutoff {cutoff} cannot hold {N} photons")
-    d = cutoff + 1
+def _noon_build(spec: Noon, d: int) -> FockState:
     ket = np.zeros(d * d, dtype=complex)
-    ket[N * d + 0] = 1.0 / math.sqrt(2.0)
-    ket[0 * d + N] = np.exp(1j * phi) / math.sqrt(2.0)
+    ket[spec.N * d + 0] = 1.0 / math.sqrt(2.0)
+    ket[0 * d + spec.N] = np.exp(1j * spec.phi) / math.sqrt(2.0)
     return FockState.from_ket(ket, modes=2)
 
 
@@ -337,41 +320,13 @@ def tmsv_min_cutoff(r: float) -> int:
     return max(1, c)
 
 
-def tmsv_state(r: float, cutoff: int | None = None) -> FockState:
-    """Two-mode squeezed vacuum, Fock representation sum lam^n |n,n>."""
-    Tmsv(r)
-    needed = tmsv_min_cutoff(r)
-    if cutoff is None:
-        cutoff = needed
-    elif cutoff < needed:
-        raise CutoffTooSmallError(
-            f"cutoff {cutoff} discards more than {TRUNCATION_TAIL:g} "
-            f"of the weights for r={r} (need >= {needed})"
-        )
-    lam = math.tanh(r)
-    d = cutoff + 1
+def _tmsv_build(spec: Tmsv, d: int) -> FockState:
+    lam = math.tanh(spec.r)
     ket = np.zeros(d * d, dtype=complex)
     for n in range(d):
         ket[n * d + n] = lam**n
     # from_ket renormalizes; the truncated state then has exact unit trace
     return FockState.from_ket(ket, modes=2)
-
-
-def tmsv_gaussian(r: float) -> GaussianState:
-    """Covariance form of the two-mode squeezed vacuum.
-
-    x-block [[c, s], [s, c]] / 2 and p-block [[c, -s], [-s, c]] / 2 with
-    c = cosh 2r, s = sinh 2r, i.e. <x1 x2> = +s/2 and <p1 p2> = -s/2.
-    det sigma = 1/16 for every r.
-    """
-    Tmsv(r)
-    c = math.cosh(2.0 * r)
-    s = math.sinh(2.0 * r)
-    cov = np.zeros((4, 4))
-    cov[0, 0] = cov[1, 1] = cov[2, 2] = cov[3, 3] = c / 2.0
-    cov[0, 1] = cov[1, 0] = s / 2.0
-    cov[2, 3] = cov[3, 2] = -s / 2.0
-    return GaussianState(np.zeros(4), cov)
 
 
 def spssv_min_cutoff(r: float) -> int:
@@ -390,24 +345,9 @@ def spssv_min_cutoff(r: float) -> int:
     raise CutoffTooSmallError(f"no practical cutoff reaches tail {TRUNCATION_TAIL:g} for r={r}")
 
 
-def spssv_state(r: float, parity: int = 1, cutoff: int | None = None) -> FockState:
-    """Single-photon-subtracted two-mode squeezed vacuum.
-
-    |xi> ~ sum_n lam^n sqrt(n) (|n-1, n> + (-1)^parity |n, n-1>), normalized
-    explicitly after truncation. parity=1 is the antisymmetric branch.
-    """
-    Spssv(r, parity)
-    needed = spssv_min_cutoff(r)
-    if cutoff is None:
-        cutoff = needed
-    elif cutoff < needed:
-        raise CutoffTooSmallError(
-            f"cutoff {cutoff} discards more than {TRUNCATION_TAIL:g} "
-            f"of the weights for r={r} (need >= {needed})"
-        )
-    lam = math.tanh(r)
-    sign = -1.0 if parity == 1 else 1.0
-    d = cutoff + 1
+def _spssv_build(spec: Spssv, d: int) -> FockState:
+    lam = math.tanh(spec.r)
+    sign = -1.0 if spec.parity == 1 else 1.0
     ket = np.zeros(d * d, dtype=complex)
     for n in range(1, d):
         amp = lam**n * math.sqrt(n)
@@ -416,38 +356,31 @@ def spssv_state(r: float, parity: int = 1, cutoff: int | None = None) -> FockSta
     return FockState.from_ket(ket, modes=2)
 
 
-def mixed_fock01(lam: float, cutoff: int | None = None) -> FockState:
-    """lam |0><0| + (1 - lam) |1><1| truncated at `cutoff` (default 1)."""
-    MixedFock01(lam)
-    if cutoff is None:
-        cutoff = 1
-    if cutoff < 1:
-        raise CutoffTooSmallError("mixed 0/1 state needs cutoff >= 1")
+def _mixed01_build(spec: MixedFock01, d: int) -> FockState:
     return FockState.from_mixture(
-        [lam, 1.0 - lam], [fock_state(0, cutoff), fock_state(1, cutoff)]
+        [spec.lam, 1.0 - spec.lam], [_fock_build(Fock(0), d), _fock_build(Fock(1), d)]
     )
-
-
-# ---------------------------------------------------------------------------
-# the catalog family table
 
 
 @dataclass(frozen=True)
 class Family:
-    """A catalog state family: spec class, mode count, Fock-basis constructor."""
+    """A catalog state family: spec class, mode count, the smallest cutoff
+    that holds a spec's state, and its Fock-basis builder at dimension
+    cutoff + 1."""
 
     spec: type
     modes: int
-    build: Callable[..., FockState]  # (*spec fields, cutoff); cutoff None: default
+    min_cutoff: Callable[..., int]  # (spec)
+    build: Callable[..., FockState]  # (spec, cutoff + 1)
 
 
 # Every family dispatcher reads this table; its order is the CLI's --state order.
 FAMILIES = {
-    "fock": Family(Fock, 1, fock_state),
-    "noon": Family(Noon, 2, noon_state),
-    "tmsv": Family(Tmsv, 2, tmsv_state),
-    "spssv": Family(Spssv, 2, spssv_state),
-    "mixed01": Family(MixedFock01, 1, mixed_fock01),
+    "fock": Family(Fock, 1, lambda s: s.n, _fock_build),
+    "noon": Family(Noon, 2, lambda s: s.N, _noon_build),
+    "tmsv": Family(Tmsv, 2, lambda s: tmsv_min_cutoff(s.r), _tmsv_build),
+    "spssv": Family(Spssv, 2, lambda s: spssv_min_cutoff(s.r), _spssv_build),
+    "mixed01": Family(MixedFock01, 1, lambda s: 1, _mixed01_build),
 }
 _FAMILY_OF = {family.spec: name for name, family in FAMILIES.items()}
 
@@ -496,12 +429,17 @@ def spec_modes(spec: StateSpec) -> int:
 def state_from_spec(spec: StateSpec, cutoff: int | None = None):
     """Materialize a spec as FockState or GaussianState.
 
-    A FockCustom matrix is its own truncation: a cutoff other than its own
-    is refused.
+    A catalog spec is built at `cutoff`, by default its family's min_cutoff,
+    the smallest that holds the state (for the squeezed pairs: within
+    TRUNCATION_TAIL of the weight); a smaller cutoff is refused. A
+    FockCustom matrix is its own truncation: a cutoff other than its own is
+    refused, and a Gaussian takes none.
     """
-    if cutoff is not None and not isinstance(cutoff, (int, np.integer)):
-        raise InvalidArgumentError(f"cutoff must be an int or None, got {cutoff!r}")
+    if cutoff is not None:
+        check_int("cutoff", cutoff)
     if isinstance(spec, GaussianCustom):
+        if cutoff is not None:
+            raise InvalidArgumentError("Gaussian states take no cutoff")
         return GaussianState(np.asarray(spec.mean), np.asarray(spec.covariance))
     if isinstance(spec, FockCustom):
         state = FockState(np.asarray(spec.matrix, dtype=complex), spec.modes)
@@ -510,8 +448,56 @@ def state_from_spec(spec: StateSpec, cutoff: int | None = None):
                 f"custom matrix has cutoff {state.cutoff}, not {cutoff}"
             )
         return state
-    build = FAMILIES[_family_of(spec)].build
-    return build(*(getattr(spec, f.name) for f in fields(spec)), cutoff)
+    family = FAMILIES[_family_of(spec)]
+    needed = family.min_cutoff(spec)
+    if cutoff is None:
+        cutoff = needed
+    elif cutoff < needed:
+        raise CutoffTooSmallError(f"{spec_label(spec)} needs cutoff >= {needed}, got {cutoff}")
+    return family.build(spec, cutoff + 1)
+
+
+def fock_state(n: int, cutoff: int | None = None) -> FockState:
+    """|n><n| truncated at `cutoff` (default: exactly n)."""
+    return state_from_spec(Fock(n), cutoff)
+
+
+def noon_state(N: int, phi: float = math.pi, cutoff: int | None = None) -> FockState:
+    """(|N,0> + e^{i phi}|0,N>)/sqrt(2) as a two-mode density matrix."""
+    return state_from_spec(Noon(N, phi), cutoff)
+
+
+def tmsv_state(r: float, cutoff: int | None = None) -> FockState:
+    """Two-mode squeezed vacuum, Fock representation sum lam^n |n,n>, lam = tanh r."""
+    return state_from_spec(Tmsv(r), cutoff)
+
+
+def tmsv_gaussian(r: float) -> GaussianState:
+    """Covariance form of the two-mode squeezed vacuum.
+
+    x-block [[c, s], [s, c]] / 2 and p-block [[c, -s], [-s, c]] / 2 with
+    c = cosh 2r, s = sinh 2r, i.e. <x1 x2> = +s/2 and <p1 p2> = -s/2.
+    det sigma = 1/16 for every r.
+    """
+    Tmsv(r)
+    c = math.cosh(2.0 * r)
+    s = math.sinh(2.0 * r)
+    cov = np.zeros((4, 4))
+    cov[0, 0] = cov[1, 1] = cov[2, 2] = cov[3, 3] = c / 2.0
+    cov[0, 1] = cov[1, 0] = s / 2.0
+    cov[2, 3] = cov[3, 2] = -s / 2.0
+    return GaussianState(np.zeros(4), cov)
+
+
+def spssv_state(r: float, parity: int = 1, cutoff: int | None = None) -> FockState:
+    """Single-photon-subtracted two-mode squeezed vacuum, normalized after truncation:
+    |xi> ~ sum_n lam^n sqrt(n) (|n-1, n> + (-1)^parity |n, n-1>), lam = tanh r."""
+    return state_from_spec(Spssv(r, parity), cutoff)
+
+
+def mixed_fock01(lam: float, cutoff: int | None = None) -> FockState:
+    """lam |0><0| + (1 - lam) |1><1| truncated at `cutoff` (default 1)."""
+    return state_from_spec(MixedFock01(lam), cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +514,7 @@ def annihilation_matrix(dim: int) -> np.ndarray:
 
 def coherent_state_matrix(alpha: complex, cutoff: int) -> FockState:
     """Projector onto the truncated (renormalized) coherent state |alpha>."""
+    check_int("cutoff", cutoff, 0)
     ket = np.zeros(cutoff + 1, dtype=complex)
     ket[0] = 1.0
     for n in range(1, cutoff + 1):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SizeLimitError, UnsupportedOperationError
+from .errors import InvalidArgumentError, SizeLimitError, UnsupportedOperationError, check_positive
 from .quadrature import (
     GaussianEnvelope,
     GridSpec,
@@ -568,8 +568,7 @@ def dilate(field: WignerField, c: float) -> WignerField:
     and a factor form T1^T C T2 to the base's tables at the scaled nodes,
     with c^{2k} folded into C.
     """
-    if not (c > 0.0) or not math.isfinite(c):
-        raise InvalidArgumentError(f"dilation factor must be positive, got {c}")
+    check_positive("dilation factor", c)
     k = field.modes
     scale = float(c) ** (2 * k)
 

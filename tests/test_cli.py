@@ -267,7 +267,7 @@ def test_grid_output_matches_per_value_formatting(capsys):
     lines = ["x,p,w"]
     for i, x in enumerate(xs):
         for j, p in enumerate(ps):
-            lines.append(f"{cli._fmt(float(x))},{cli._fmt(float(p))},{cli._fmt(float(values[i, j]))}")
+            lines.append(f"{moments._fmt(float(x))},{moments._fmt(float(p))},{moments._fmt(float(values[i, j]))}")
     assert out == "\n".join(lines) + "\n"
 
 
@@ -392,7 +392,7 @@ def test_count_flags_below_one_exit_code(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
-    assert err == f"error (invalid-argument): {argv[-2]} must be >= 1, got {argv[-1]}\n"
+    assert err == f"error (invalid-argument): {argv[-2]} must be an int >= 1, got {argv[-1]}\n"
 
 
 @pytest.mark.parametrize(
@@ -405,6 +405,44 @@ def test_count_flags_below_one_from_config(tmp_path, capsys, body, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error (invalid-argument):")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a negative seed used to end in a numpy ValueError traceback (exit 1)
+        ["selftest", "--seed", "-1"],
+        # an infinite box, or one whose span 2L overflows, used to exit 0
+        # with inf/nan rows
+        ["grid", "--state", "fock", "--n", "1", "--points", "16", "--half-width", "inf"],
+        ["grid", "--state", "fock", "--n", "1", "--points", "16", "--half-width", "1e308"],
+    ],
+    ids=["negative-seed", "infinite-half-width", "overflowing-half-width"],
+)
+def test_out_of_domain_flags_exit_code(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error (invalid-argument):")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "body, argv",
+    [
+        # the first two used to exit 0 (JSON output, an O_3 dump); the flags refuse them
+        ("format=xml\n", ["analyze", "--state", "fock", "--n", "1"]),
+        ("dump_m=5\n", ["multicopy", "--state", "fock", "--n", "1", "--cutoff", "2"]),
+        ("parity=2\n", ["analyze", "--state", "spssv", "--r", "0.5"]),
+    ],
+    ids=["format", "dump-m", "parity"],
+)
+def test_config_values_are_choice_checked_as_their_flags(tmp_path, capsys, body, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(body)
+    code, out, err = run(capsys, ["--config", str(cfg), *argv])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error (invalid-argument): {cfg}:1: bad value for ")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

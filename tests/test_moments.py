@@ -360,7 +360,7 @@ def test_sweep_fock_rows_format(tmp_path):
 def test_sweep_refuses_non_integral_values_of_int_fields():
     # int() used to truncate them: fock 2.7 reported Fock(2)'s moments
     for family, value in (("fock", 2.7), ("noon", 1.9), ("noon", np.float64(1.5))):
-        with pytest.raises(InvalidArgumentError, match=f"{family} takes int values"):
+        with pytest.raises(InvalidArgumentError, match=f"{family} photon number must be an int"):
             moments.sweep(family, [value])
 
 
