@@ -31,8 +31,6 @@ from .errors import InvalidArgumentError, UnsupportedOperationError, WignerMomen
 THREAD_ENV = "WIGNERMOMENTS_THREADS"
 
 STATE_CHOICES = ("vacuum", "fock", "noon", "tmsv", "spssv", "mixed01")
-# quadrature.SCHEMES, spelled out so that --help imports no numpy
-SCHEME_NAMES = ("gauss_hermite_tensor", "gauss_laguerre_polar")
 
 
 def _apply_thread_env() -> None:
@@ -93,24 +91,6 @@ def _state_spec(args):
     return spec_cls(**kwargs)
 
 
-def _quad_spec(args, spec):
-    """The rule of --scheme/--order: a scheme alone runs at its exact order
-    for the field (moments.EXACT_ORDERS), an order alone on the tensor rule."""
-    from . import moments
-    from .quadrature import QuadratureSpec
-
-    if args.scheme is None and args.order is None:
-        return None
-    if args.scheme is None:
-        return QuadratureSpec(order=args.order)
-    if args.order is not None:
-        return QuadratureSpec(args.scheme, args.order)
-    QuadratureSpec(scheme=args.scheme)  # an unknown name is a usage error
-    field, _ = moments.field_for(spec, args.cutoff)
-    # the order analyze checks exactness against: that of W^3
-    return QuadratureSpec(args.scheme, moments.EXACT_ORDERS[args.scheme](field, 3))
-
-
 def cmd_analyze(args) -> int:
     import numpy as np
 
@@ -121,7 +101,7 @@ def cmd_analyze(args) -> int:
     # moments._report turns a non-finite result into exit 3 with one error
     # line; the overflow that produced it need not warn on stderr first
     with np.errstate(over="ignore", invalid="ignore"):
-        report = moments.analyze(spec, quad=_quad_spec(args, spec), cutoff=args.cutoff)
+        report = moments.analyze(spec, cutoff=args.cutoff)
     if args.format == "csv":
         lines = [
             "param,w2,w3,delta,verdict",
@@ -201,13 +181,17 @@ def cmd_figure(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    import numpy as np
+
     from . import moments, wigner
     from .quadrature import GridSpec
 
     spec = _state_spec(args)
     field, _ = moments.field_for(spec, args.cutoff)
     gspec = GridSpec(half_width=args.half_width, points_per_axis=args.points)
-    xs, ps, values = wigner.wigner_grid(field, gspec)
+    # wigner_grid turns a non-finite value into exit 3; the overflow need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ps, values = wigner.wigner_grid(field, gspec)
     # the repr of each value as a Python float, as moments._fmt gives it, taken once
     ps_text = list(map(repr, ps.tolist()))
     coords = (f"{x},{p}" for x in map(repr, xs.tolist()) for p in ps_text)
@@ -307,26 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="moment report for one state")
     _add_state_flags(p_analyze)
     p_analyze.add_argument("--cutoff", type=int, default=None)
-    p_analyze.add_argument(
-        "--scheme",
-        default=None,
-        help=f"integration rule, one of {', '.join(SCHEME_NAMES)} (default: "
-        "gauss_laguerre_polar for one- and two-mode Fock-basis fields, NOON "
-        "and any state at a --cutoff included, and, without --cutoff, for the "
-        "unsqueezed cores of tmsv, spssv and Gaussians; gauss_hermite_tensor "
-        "for the rest; each at its exact order). An explicit --scheme or "
-        "--order integrates the squeezed field itself; --scheme without "
-        "--order runs the named rule at its exact order for the field",
-    )
-    p_analyze.add_argument(
-        "--order",
-        type=int,
-        default=None,
-        help="Gauss-Hermite nodes per axis (gauss_hermite_tensor) or radial "
-        "Gauss-Laguerre nodes with twice as many angles in each mode "
-        "(gauss_laguerre_polar); alone it selects gauss_hermite_tensor "
-        "(default: the exact order of the rule)",
-    )
     p_analyze.add_argument("--format", choices=("json", "csv"), default="json")
     p_analyze.add_argument("--out", default=None)
     p_analyze.set_defaults(func=cmd_analyze)

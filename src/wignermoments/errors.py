@@ -4,12 +4,13 @@ Exit-code mapping used by the CLI: usage problems (bad arguments,
 unsupported requests) exit 2, numerical preconditions (cutoff too small,
 degenerate covariance, a non-finite result) exit 3, resource limits exit 4.
 
-Every count, order, cutoff, photon number, parity, seed or positive float
-that a public entry point takes passes one of two checks, which raise
-InvalidArgumentError: check_int (an int, np.integer included, in [low,
-high]; a bool or a float such as 2.0 is refused) and check_positive (a
-finite real number > 0, not a bool). The module imports no numpy, so the
-CLI can run them before numpy loads.
+Every count, order, cutoff, photon number, parity, seed, weight, phase or
+positive float that a public entry point takes passes one of three checks,
+which raise InvalidArgumentError: check_int (an int, np.integer included,
+in [low, high]; a bool or a float such as 2.0 is refused), check_real (a
+real number from low to high, each end open or closed, not a bool) and
+check_positive (check_real on (0, inf)). The module imports no numpy, so
+the CLI can run them before numpy loads.
 """
 
 import math
@@ -80,8 +81,17 @@ def check_int(name: str, value, low: int | None = None, high: int | None = None)
         raise InvalidArgumentError(f"{name} must be an int{bounds}, got {value!r}")
 
 
+def check_real(
+    name: str, value, low: float, high: float, what: str, low_open=False, high_open=False
+) -> None:
+    """Refuse `value` unless it is a real number from low to high, each end
+    included unless marked open; `what` words that range in the message."""
+    is_real = type(value) is float or (isinstance(value, Real) and not isinstance(value, bool))
+    above = is_real and (low < value if low_open else low <= value)  # a NaN fails both
+    if not (above and (value < high if high_open else value <= high)):
+        raise InvalidArgumentError(f"{name} must be {what}, got {value!r}")
+
+
 def check_positive(name: str, value) -> None:
     """Refuse `value` unless it is a finite real number > 0."""
-    is_real = type(value) is float or (isinstance(value, Real) and not isinstance(value, bool))
-    if not (is_real and 0.0 < value < math.inf):
-        raise InvalidArgumentError(f"{name} must be a finite number > 0, got {value!r}")
+    check_real(name, value, 0.0, math.inf, "a finite number > 0", low_open=True, high_open=True)

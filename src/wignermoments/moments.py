@@ -5,31 +5,30 @@ delta = w_2^2 - w_3 > 0 certifies negativity. The converse direction does
 not hold (some negative-W states still have delta <= 0), hence the verdicts
 are NegativityCertified / Inconclusive, never "positive".
 
-The default integration path is exact for every catalog state. Fields
+analyze integrates on the rule that is exact for the field. Fields
 built from per-mode Fock-basis factors (Fock, the 0/1 mixture, NOON, one-
 and two-mode Fock synthesis, and their dilations) take the polar
 Gauss-Laguerre rule in each mode; every other field folds its Gaussian
-envelope (times m) into a Gauss-Hermite tensor weight. An explicit
-QuadratureSpec picks the scheme and order instead. The independent
-cross-checks live in oracle: a midpoint rule on a box and the rational
-closed forms.
+envelope (times m) into a Gauss-Hermite tensor weight. moment() alone
+takes an explicit QuadratureSpec, the tensor cross-check of the polar
+rule and of the cores. The independent cross-checks live in oracle: a
+midpoint rule on a box and the rational closed forms.
 
 w_m is invariant under a symplectic map W(z) -> W(S^-1 z + d), det S = 1
 (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)). So analyze, with no
-QuadratureSpec and no cutoff, integrates the squeezed pairs and Gaussians
-through their unsqueezed core, a product of one-mode fields on the polar
-rule: Tmsv as vacuum x vacuum, Spssv (either parity, a beam-splitter image
-of |1> x |0> before the squeezer) as Fock(1) x vacuum, and a k-mode
-Gaussian as k vacua dilated to nu = det(sigma)^(1/2k). An explicit
-QuadratureSpec still integrates the squeezed field itself, as the
-cross-check, and so does moment().
+cutoff, integrates the squeezed pairs and Gaussians through their
+unsqueezed core, a product of one-mode fields on the polar rule: Tmsv as
+vacuum x vacuum, Spssv (either parity, a beam-splitter image of |1> x |0>
+before the squeezer) as Fock(1) x vacuum, and a k-mode Gaussian as k vacua
+dilated to nu = det(sigma)^(1/2k). moment() still integrates the squeezed
+field itself, as the cross-check.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -96,9 +95,6 @@ def exactness_order(field: WignerField, m: int) -> int:
 def polar_order(field: WignerField, m: int) -> int:
     """Radial Gauss-Laguerre nodes that integrate W^m exactly on the polar rule."""
     return (m * field.polynomial_degree) // 4 + 1
-
-
-EXACT_ORDERS = {"gauss_hermite_tensor": exactness_order, "gauss_laguerre_polar": polar_order}
 
 
 def _per_mode(field: WignerField):
@@ -185,7 +181,6 @@ class MomentReport:
     delta: float
     verdict: str
     est_error: float
-    exactness_warning: bool = dataclass_field(default=False, compare=False)
 
     def to_json(self) -> str:
         payload = {
@@ -298,7 +293,7 @@ def _product_error(parts) -> float:
     )
 
 
-def _report(label, modes, cutoff, quad, moments, errors, warn=False) -> MomentReport:
+def _report(label, modes, cutoff, quad, moments, errors) -> MomentReport:
     """The report of the moments, with est_error the largest of the per-m
     errors; a NaN or infinite moment, delta or error raises before any
     verdict (Python's max would drop a NaN that is not first)."""
@@ -318,7 +313,6 @@ def _report(label, modes, cutoff, quad, moments, errors, warn=False) -> MomentRe
         delta=delta,
         verdict=verdict,
         est_error=est_error,
-        exactness_warning=warn,
     )
 
 
@@ -343,39 +337,30 @@ def _analyze_core(spec: StateSpec, factors: tuple, max_m: int) -> MomentReport:
     return _report(spec_label(spec), len(factors), None, quad, moments, errors)
 
 
-def analyze(
-    spec: StateSpec,
-    max_m: int = 3,
-    quad: QuadratureSpec | None = None,
-    cutoff: int | None = None,
-) -> MomentReport:
+def analyze(spec: StateSpec, max_m: int = 3, cutoff: int | None = None) -> MomentReport:
     """Compute w_1..w_max_m, the criterion verdict, and an error estimate.
 
-    Without quad the rule is default_quadrature(field, max_m), exact for
-    every moment. est_error is the largest |w_m(order) - w_m(2 order)| over
-    m >= 2; the certification margin is max(1e-9, 3 est_error), so a
-    verdict is only Certified when delta clears the quadrature error budget.
-    On the polar rule a one-mode field is evaluated on two grids: the
-    stacked rules of w_1..w_max_m, then those of w_2..w_max_m at twice the
-    order; the moments are bit for bit those of moment() at each m.
+    The rule is default_quadrature(field, max_m), exact for every moment.
+    est_error is the largest |w_m(order) - w_m(2 order)| over m >= 2; the
+    certification margin is max(1e-9, 3 est_error), so a verdict is only
+    Certified when delta clears the quadrature error budget. On the polar
+    rule a one-mode field is evaluated on two grids: the stacked rules of
+    w_1..w_max_m, then those of w_2..w_max_m at twice the order; the
+    moments are bit for bit those of moment() at each m.
 
-    With neither quad nor cutoff, Tmsv, Spssv and GaussianCustom take the
-    moments of their unsqueezed core (_SYMPLECTIC_CORES): one-mode factors
-    on the polar rule, whose moments multiply, with est_error the product
-    bound over the factors' own estimates. An explicit quad integrates the
-    squeezed field itself, the cross-check of the core.
+    Without a cutoff, Tmsv, Spssv and GaussianCustom take the moments of
+    their unsqueezed core (_SYMPLECTIC_CORES): one-mode factors on the polar
+    rule, whose moments multiply, with est_error the product bound over the
+    factors' own estimates.
     """
     check_int("max_m", max_m, 3)  # the criterion needs w2 and w3
     core = _SYMPLECTIC_CORES.get(type(spec))
-    if core is not None and quad is None and cutoff is None:
+    if core is not None and cutoff is None:
         return _analyze_core(spec, core(spec), max_m)
     field, used_cutoff = field_for(spec, cutoff)
-    if quad is None:
-        quad = default_quadrature(field, max_m)
-    exact = EXACT_ORDERS.get(quad.scheme)
-    warn = exact is not None and quad.order < exact(field, max_m)
+    quad = default_quadrature(field, max_m)
     moments, errors = _moments_and_errors(field, quad, max_m)
-    return _report(field.label, field.modes, used_cutoff, quad, moments, errors.values(), warn)
+    return _report(field.label, field.modes, used_cutoff, quad, moments, errors.values())
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +383,9 @@ def _sweep_spec(family: str, value):
     return spec_cls(value)
 
 
-def sweep(family: str, values, quad: QuadratureSpec | None = None):
+def sweep(family: str, values):
     """Analyze a one-parameter family; returns [(param, MomentReport)]."""
-    return [(value, analyze(_sweep_spec(family, value), quad=quad)) for value in values]
+    return [(value, analyze(_sweep_spec(family, value))) for value in values]
 
 
 def sweep_rows(results) -> list[str]:

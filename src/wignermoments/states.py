@@ -22,6 +22,7 @@ from .errors import (
     UnsupportedOperationError,
     check_int,
     check_positive,
+    check_real,
 )
 
 __all__ = [
@@ -93,10 +94,7 @@ class Noon:
 
     def __post_init__(self):
         check_int("noon photon number", self.N, 1)
-        if not (0.0 <= self.phi < 2.0 * math.pi):
-            raise InvalidArgumentError(
-                f"noon phase must lie in [0, 2*pi), got {self.phi}"
-            )
+        check_real("noon phase", self.phi, 0.0, 2.0 * math.pi, "in [0, 2*pi)", high_open=True)
 
 
 @dataclass(frozen=True)
@@ -128,8 +126,7 @@ class MixedFock01:
     lam: float
 
     def __post_init__(self):
-        if not (0.0 <= self.lam <= 1.0):
-            raise InvalidArgumentError(f"mixing weight must be in [0, 1], got {self.lam}")
+        check_real("mixing weight", self.lam, 0.0, 1.0, "in [0, 1]")
 
 
 @dataclass(frozen=True)

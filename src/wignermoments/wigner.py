@@ -27,7 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SizeLimitError, UnsupportedOperationError, check_positive
+from .errors import (
+    InvalidArgumentError,
+    NonFiniteResultError,
+    SizeLimitError,
+    UnsupportedOperationError,
+    check_positive,
+)
 from .quadrature import (
     GaussianEnvelope,
     GridSpec,
@@ -655,7 +661,8 @@ def marginal_p(field: WignerField, mode: int, p):
 def wigner_grid(field: WignerField, grid: GridSpec):
     """Evaluate a single-mode field on a square grid for plotting/export.
 
-    Returns (xs, ps, values) with values[i, j] = W(xs[i], ps[j]).
+    Returns (xs, ps, values) with values[i, j] = W(xs[i], ps[j]); a value
+    that overflows to NaN or infinity raises NonFiniteResultError.
     """
     if field.modes != 1:
         raise UnsupportedOperationError("grid export supports single-mode fields")
@@ -666,4 +673,6 @@ def wigner_grid(field: WignerField, grid: GridSpec):
     ps = xs.copy()
     gx, gp = np.meshgrid(xs, ps, indexing="ij")
     values = field(np.stack([gx.ravel(), gp.ravel()], axis=1)).reshape(n, n)
+    if not np.isfinite(values).all():
+        raise NonFiniteResultError(f"{field.label}: W overflows at half-width {grid.half_width}")
     return xs, ps, values

