@@ -183,10 +183,12 @@ def cmd_figure(args) -> int:
 def cmd_grid(args) -> int:
     import numpy as np
 
-    from . import moments, wigner
+    from . import moments, states, wigner
     from .quadrature import GridSpec
 
     spec = _state_spec(args)
+    if states.spec_modes(spec) != 1:
+        raise UnsupportedOperationError("grid export supports single-mode fields")
     field, _ = moments.field_for(spec, args.cutoff)
     gspec = GridSpec(half_width=args.half_width, points_per_axis=args.points)
     # wigner_grid turns a non-finite value into exit 3; the overflow need not warn first
@@ -210,8 +212,8 @@ def cmd_multicopy(args) -> int:
         )
     state = states.state_from_spec(spec, cutoff=args.cutoff)
 
-    o2 = multicopy.multicopy_observable(2, args.cutoff, max_side=args.max_side)
-    o3 = multicopy.multicopy_observable(3, args.cutoff, max_side=args.max_side)
+    o2 = multicopy.multicopy_observable(2, args.cutoff)
+    o3 = multicopy.multicopy_observable(3, args.cutoff)
     w2_op = multicopy.multicopy_expectation(o2, [state, state]).real
     w3_op = multicopy.multicopy_expectation(o3, [state, state, state]).real
 
@@ -319,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_multi = sub.add_parser("multicopy", help="operator route vs quadrature")
     _add_state_flags(p_multi)
     p_multi.add_argument("--cutoff", type=int, default=8)
-    p_multi.add_argument("--max-side", dest="max_side", type=int, default=4096)
     p_multi.add_argument("--dump-operator", dest="dump_operator", default=None)
     p_multi.add_argument("--dump-m", dest="dump_m", type=int, choices=(2, 3), default=2)
     p_multi.add_argument("--out", default=None)

@@ -14,14 +14,11 @@ takes an explicit QuadratureSpec, the tensor cross-check of the polar
 rule and of the cores. The independent cross-checks live in oracle: a
 midpoint rule on a box and the rational closed forms.
 
-w_m is invariant under a symplectic map W(z) -> W(S^-1 z + d), det S = 1
+w_m is invariant under an affine map W(z) -> W(A^-1 (z - d)), det A = 1
 (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)). So analyze, with no
-cutoff, integrates the squeezed pairs and Gaussians through their
-unsqueezed core, a product of one-mode fields on the polar rule: Tmsv as
-vacuum x vacuum, Spssv (either parity, a beam-splitter image of |1> x |0>
-before the squeezer) as Fock(1) x vacuum, and a k-mode Gaussian as k vacua
-dilated to nu = det(sigma)^(1/2k). moment() still integrates the squeezed
-field itself, as the cross-check.
+cutoff, takes the squeezed pairs and Gaussians through the one-mode cores
+of their image (wigner.SYMPLECTIC_IMAGES) on the polar rule, and never
+builds the map; moment() on the image field is the cross-check.
 """
 
 from __future__ import annotations
@@ -46,20 +43,17 @@ from .quadrature import (
 )
 from .states import (
     FAMILIES,
-    Fock,
     FockCustom,
     GaussianCustom,
     GaussianState,
-    Spssv,
     StateSpec,
-    Tmsv,
     param_type,
     spec_label,
     state_from_spec,
 )
 from .wigner import (
+    SYMPLECTIC_IMAGES,
     WignerField,
-    dilate,
     wigner_analytic,
     wigner_fock_synthesis,
     wigner_gaussian,
@@ -256,25 +250,6 @@ def field_for(spec: StateSpec, cutoff: int | None):
     return wigner_fock_synthesis(state, label=spec_label(spec)), state.cutoff
 
 
-def _gaussian_core(spec: GaussianCustom) -> tuple:
-    """k vacua dilated to nu = det(sigma)^(1/2k): the same det(sigma), so the
-    same moments, as the Gaussian (W = c^2 e^{-c^2 |z|^2} / pi per mode has
-    sigma = I / (2 c^2) = nu I at c = (2 nu)^(-1/2))."""
-    state = state_from_spec(spec)
-    k = state.modes
-    nu = float(np.linalg.det(state.covariance)) ** (1.0 / (2 * k))
-    return (dilate(wigner_analytic(Fock(0)), (2.0 * nu) ** -0.5),) * k
-
-
-# One-mode factor fields whose moments multiply to those of the spec; a
-# factor repeated as the same object is integrated once.
-_SYMPLECTIC_CORES = {
-    Tmsv: lambda spec: (wigner_analytic(Fock(0)),) * 2,
-    Spssv: lambda spec: (wigner_analytic(Fock(1)), wigner_analytic(Fock(0))),
-    GaussianCustom: _gaussian_core,
-}
-
-
 def _moments_and_errors(field: WignerField, quad: QuadratureSpec, max_m: int):
     """w_1..w_max_m on quad, and |w_m(order) - w_m(2 order)| for m >= 2."""
     powers = range(1, max_m + 1)
@@ -317,12 +292,9 @@ def _report(label, modes, cutoff, quad, moments, errors) -> MomentReport:
 
 
 def _analyze_core(spec: StateSpec, factors: tuple, max_m: int) -> MomentReport:
-    """The report of a spec from the one-mode factors of its core.
-
-    Each factor runs on its own default rule and error pass; the moments
-    multiply, est_error is the product bound over the factors' estimates,
-    and the report names the largest factor rule.
-    """
+    """The report of a spec from its one-mode cores, each on its own default
+    rule and error pass: the moments multiply, est_error is the product bound
+    over the cores' estimates, and the report names the largest core rule."""
     runs = {}
     for f in factors:
         if id(f) not in runs:
@@ -348,15 +320,14 @@ def analyze(spec: StateSpec, max_m: int = 3, cutoff: int | None = None) -> Momen
     w_1..w_max_m, then those of w_2..w_max_m at twice the order; the
     moments are bit for bit those of moment() at each m.
 
-    Without a cutoff, Tmsv, Spssv and GaussianCustom take the moments of
-    their unsqueezed core (_SYMPLECTIC_CORES): one-mode factors on the polar
-    rule, whose moments multiply, with est_error the product bound over the
-    factors' own estimates.
+    Without a cutoff, Tmsv, Spssv and GaussianCustom take the product of
+    their cores' moments, with est_error the product bound (_analyze_core).
     """
     check_int("max_m", max_m, 3)  # the criterion needs w2 and w3
-    core = _SYMPLECTIC_CORES.get(type(spec))
-    if core is not None and cutoff is None:
-        return _analyze_core(spec, core(spec), max_m)
+    image = SYMPLECTIC_IMAGES.get(type(spec))
+    if image is not None and cutoff is None:
+        cores, _ = image(spec)  # the map stays unbuilt: no cosh, Cholesky or inverse
+        return _analyze_core(spec, cores, max_m)
     field, used_cutoff = field_for(spec, cutoff)
     quad = default_quadrature(field, max_m)
     moments, errors = _moments_and_errors(field, quad, max_m)

@@ -56,7 +56,7 @@ __all__ = [
     "forward_backward_protocol",
 ]
 
-DEFAULT_MAX_SIDE = 4096
+MAX_SIDE = 4096  # of an m-copy operator: O_3 up to cutoff 15, (cutoff + 1)^3 = 16^3
 # Rows/columns touching the top Fock levels see O(1) truncation artifacts;
 # identity checks restrict to indices whose per-mode occupation stays this
 # many levels below the cutoff.
@@ -265,7 +265,7 @@ def displaced_parity(alpha: complex, cutoff: int) -> TruncatedOperator:
     return TruncatedOperator.dense(1, cutoff, mat)
 
 
-def multicopy_observable(m: int, cutoff: int, max_side: int = DEFAULT_MAX_SIDE) -> TruncatedOperator:
+def multicopy_observable(m: int, cutoff: int) -> TruncatedOperator:
     """The m-copy observable O_m with Tr[rho^(x)m O_m] = w_m.
 
     O_m = (2/pi^m) * integral of Pi(alpha)^(x)m over the alpha plane.
@@ -291,9 +291,9 @@ def multicopy_observable(m: int, cutoff: int, max_side: int = DEFAULT_MAX_SIDE) 
     check_int("multicopy_observable cutoff", cutoff, 1)
     d = cutoff + 1
     side = d**m
-    if side > max_side:
+    if side > MAX_SIDE:
         raise SizeLimitError(
-            f"m={m} copies at cutoff {cutoff} give side {side} > limit {max_side}"
+            f"m={m} copies at cutoff {cutoff} give side {side} > limit {MAX_SIDE}"
         )
     order = m * cutoff // 2 + 1
     nodes, scaled_weights = laggauss_cached(order)
@@ -413,10 +413,10 @@ def forward_backward_protocol(state: FockState, m: int = 3) -> float:
     check_int("forward_backward_protocol m", m, 2)
     dm = state.dim
     side = (dm * dm) ** m
-    if side > DEFAULT_MAX_SIDE:
+    if side > MAX_SIDE:
         raise SizeLimitError(
             f"{m} copies of a two-mode state at cutoff {dm - 1} give side "
-            f"{side} > limit {DEFAULT_MAX_SIDE}"
+            f"{side} > limit {MAX_SIDE}"
         )
     swap_register, cyclic = _register_permutations(dm, m)
 

@@ -17,14 +17,7 @@ a second, smaller exact rule: in each mode W^m is e^{-s} times a polynomial
 in s = m lam |z|^2 and a trigonometric polynomial in the angle, so
 Gauss-Laguerre nodes in s and an equispaced trapezoid in the angle integrate
 it exactly (polar_power_integrals, which takes a per-mode callable of the
-field and the powers m).
-In one mode the callable is polar(r, n_theta), the field's (radii, angles)
-block at the angles 2 pi j / n_theta; the rules of all powers share their
-angles, so their radii are stacked and the field is evaluated once for all
-of them. In two modes the rule is the product of the per-mode rule with
-itself, one pass per power: the callable factors(x, p) gives the factor
-form W = T1^T C T2 once on the pass's per-mode node set, and each block of
-mode-1 rows is formed from it.
+field and the powers m: the polar block in one mode, the factor form in two).
 
 uniform_grid_integral, a midpoint rule on a box, serves the independent
 oracle.riemann_moment; it walks its grid in the same blocks as the
@@ -82,6 +75,11 @@ BLOCK_NODES = 262_144
 # (4M nodes: 32 MB per real array, 64 MB for a complex spectrum).
 MAX_POLAR_NODES = 4_000_000
 
+# Largest-to-smallest eigenvalue ratio of an envelope form that the tensor
+# rule takes; past it w_m drifts silently. The squeezed pairs cross it at
+# r ~ 8.06, their w_1..w_3 still within 3e-9.
+MAX_FORM_RATIO = 1e14
+
 # Newton steps that polish the Jacobi-matrix eigenvalues into Laguerre roots,
 # and the magnitude at which the recurrence behind them is rescaled.
 LAGUERRE_NEWTON_STEPS = 3
@@ -136,14 +134,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate: a scheme of SCHEMES and its order.
-
-    gauss_hermite_tensor takes order Gauss-Hermite nodes per axis against
-    the field's envelope, for any mode count. gauss_laguerre_polar takes
-    order radial Gauss-Laguerre nodes and 2 * order angles in each mode, for
-    one- and two-mode fields with an isotropic, centred envelope. Both are
-    exact once the order reaches that of moments.default_quadrature.
-    """
+    """How to integrate: a scheme of SCHEMES and its order, exact from the
+    order of moments.default_quadrature."""
 
     scheme: str = "gauss_hermite_tensor"
     order: int = 40
@@ -268,14 +260,15 @@ def _tensor_blocks(axis: np.ndarray, tail: np.ndarray, dims: int):
 
 
 def _cholesky(form: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(form)
-    except np.linalg.LinAlgError as exc:
-        # either genuinely indefinite or so squeezed that double precision
-        # cannot factor it; both are covariance-degeneracy conditions
+    """Cholesky factor of an envelope form; one that is not finite, not
+    positive definite or squeezed past MAX_FORM_RATIO is degenerate."""
+    eig = np.linalg.eigvalsh(form) if np.isfinite(form).all() else [math.nan]
+    if not (eig[0] > 0.0 and eig[-1] <= MAX_FORM_RATIO * eig[0]):
         raise DegenerateCovarianceError(
-            f"envelope form is numerically singular or indefinite: {exc}"
-        ) from exc
+            f"envelope form is numerically singular or indefinite "
+            f"(eigenvalues {eig[0]:.3g} to {eig[-1]:.3g})"
+        )
+    return np.linalg.cholesky(form)
 
 
 def _substitute(chol: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -18,6 +18,10 @@ S_d(r) and hands the polar rule its block on radii times equispaced angles
 (WignerField.polar), as the Fock and 0/1-mixture closed forms do: two real
 products of the sectors with cos and sin tables of d theta. evaluate takes
 flat points only.
+
+The squeezed pairs and the Gaussians are defined once, as images of
+one-mode cores under a map of determinant 1 (SYMPLECTIC_IMAGES); analyze
+takes the moments of the cores alone.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DegenerateCovarianceError,
     InvalidArgumentError,
     NonFiniteResultError,
     SizeLimitError,
@@ -190,64 +195,6 @@ def _fock_field(spec: Fock) -> WignerField:
     return _radial_field(radial, 2 * spec.n, spec_label(spec))
 
 
-def _squeezed_pair_envelope(r: float) -> GaussianEnvelope:
-    # quadratic form of exp[2s(x1 x2 - p1 p2) - c(u1 + u2)] in
-    # (x1, x2, p1, p2); eigenvalues c -+ s = e^{-+2r} > 0.
-    c = math.cosh(2.0 * r)
-    s = math.sinh(2.0 * r)
-    form = np.zeros((4, 4))
-    form[0, 0] = form[1, 1] = form[2, 2] = form[3, 3] = c
-    form[0, 1] = form[1, 0] = -s
-    form[2, 3] = form[3, 2] = s
-    return GaussianEnvelope(form, np.zeros(4))
-
-
-def _tmsv_field(spec: Tmsv) -> WignerField:
-    c = math.cosh(2.0 * spec.r)
-    s = math.sinh(2.0 * spec.r)
-
-    def evaluate(z):
-        x1, x2, p1, p2 = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
-        expo = 2.0 * s * (x1 * x2 - p1 * p2) - c * (
-            x1 * x1 + p1 * p1 + x2 * x2 + p2 * p2
-        )
-        return np.exp(expo) / math.pi**2
-
-    return WignerField(
-        modes=2,
-        evaluate=evaluate,
-        envelope=_squeezed_pair_envelope(spec.r),
-        polynomial_degree=0,
-        label=spec_label(spec),
-    )
-
-
-def _spssv_field(spec: Spssv) -> WignerField:
-    c = math.cosh(2.0 * spec.r)
-    s = math.sinh(2.0 * spec.r)
-    # parity 1: difference-quadrature polynomial; parity 0: sum-quadrature.
-    comb = -1.0 if spec.parity == 1 else 1.0
-    poly_sign = s if spec.parity == 1 else -s
-
-    def evaluate(z):
-        x1, x2, p1, p2 = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
-        u = x1 + comb * x2
-        v = p1 + comb * p2
-        expo = 2.0 * s * (x1 * x2 - p1 * p2) - c * (
-            x1 * x1 + p1 * p1 + x2 * x2 + p2 * p2
-        )
-        poly = c * (u * u + v * v) + poly_sign * (u * u - v * v) - 1.0
-        return np.exp(expo) * poly / math.pi**2
-
-    return WignerField(
-        modes=2,
-        evaluate=evaluate,
-        envelope=_squeezed_pair_envelope(spec.r),
-        polynomial_degree=2,
-        label=spec_label(spec),
-    )
-
-
 def _mixed01_field(spec: MixedFock01) -> WignerField:
     a = 2.0 * spec.lam - 1.0
     b = 2.0 * (1.0 - spec.lam)
@@ -262,20 +209,20 @@ def _fock_basis_field(spec: Noon | FockCustom) -> WignerField:
     return wigner_fock_synthesis(state_from_spec(spec), label=spec_label(spec))
 
 
-# NOON and custom specs go to the synthesis/Gaussian evaluators: total over StateSpec
+# NOON and custom specs go to synthesis; with SYMPLECTIC_IMAGES total over StateSpec
 _CLOSED_FORMS = {
     Fock: _fock_field,
     Noon: _fock_basis_field,
-    Tmsv: _tmsv_field,
-    Spssv: _spssv_field,
     MixedFock01: _mixed01_field,
-    GaussianCustom: lambda spec: wigner_gaussian(state_from_spec(spec)),
     FockCustom: _fock_basis_field,
 }
 
 
 def wigner_analytic(spec: StateSpec) -> WignerField:
     """Closed-form Wigner function for a state spec."""
+    image = SYMPLECTIC_IMAGES.get(type(spec))
+    if image is not None:
+        return _image_field(image(spec), spec_label(spec))
     try:
         build = _CLOSED_FORMS[type(spec)]
     except KeyError:
@@ -284,23 +231,81 @@ def wigner_analytic(spec: StateSpec) -> WignerField:
 
 
 def wigner_gaussian(state: GaussianState) -> WignerField:
-    """W = exp(-(z-mu)^T sigma^{-1} (z-mu)/2) / ((2 pi)^k sqrt(det sigma))."""
-    inv_cov = np.linalg.inv(state.covariance)
-    norm = 1.0 / (
-        (2.0 * math.pi) ** state.modes * math.sqrt(np.linalg.det(state.covariance))
-    )
-    mean = state.mean
+    """W = exp(-(z-mu)^T sigma^{-1} (z-mu)/2) / ((2 pi)^k sqrt(det sigma)),
+    as the image of k dilated vacua."""
+    return _image_field(_gaussian_image(state), f"gaussian(k={state.modes})")
+
+
+# ---------------------------------------------------------------------------
+# symplectic images: the squeezed pairs and the Gaussians
+
+
+def _pair_inverse(spec: Tmsv | Spssv):
+    """(A^-1, d = 0) of a squeezed pair, from the formulas (inverting S(r)
+    fails from r ~ 50): S(-r) for Tmsv, B(-+pi/4) S(-r) for Spssv (- at
+    parity 0), where S(r) is [[ch, sh], [sh, ch]] on (x1, x2) and [[ch, -sh],
+    [-sh, ch]] on (p1, p2), ch = cosh r, sh = sinh r, and the beam splitter
+    B(t) the rotation [[cos t, -sin t], [sin t, cos t]] on both."""
+    try:
+        ch, sh = math.cosh(spec.r), math.sinh(spec.r)
+    except OverflowError:
+        raise DegenerateCovarianceError(f"squeezing r = {spec.r!r} overflows cosh r") from None
+    a_inv = np.array([[ch, -sh, 0, 0], [-sh, ch, 0, 0], [0, 0, ch, sh], [0, 0, sh, ch]])
+    if isinstance(spec, Spssv):
+        t = math.pi / 4 if spec.parity else -math.pi / 4
+        c, s = math.cos(t), math.sin(t)
+        a_inv = np.kron(np.eye(2), [[c, -s], [s, c]]) @ a_inv
+    return a_inv, np.zeros(4)
+
+
+def _gaussian_image(state: GaussianState):
+    """k vacua dilated (by c = (2 nu)^(-1/2)) to sigma = nu I, nu = det(sigma)^(1/2k),
+    under A^-1 = sqrt(nu) L^-1 about the mean, where sigma = L L^T."""
+    nu = float(np.linalg.det(state.covariance)) ** (1.0 / (2 * state.modes))
+    core = dilate(wigner_analytic(Fock(0)), (2.0 * nu) ** -0.5)
+
+    def inverse():
+        chol = np.linalg.cholesky(state.covariance)
+        return math.sqrt(nu) * np.linalg.inv(chol), state.mean.copy()
+
+    return (core,) * state.modes, inverse
+
+
+# Spec type -> spec -> (cores, inverse): each squeezed pair and Gaussian
+# defined once, as the image W(z) = prod_i core_i(y_i), y = A^-1 (z - d),
+# det A = 1, of one-mode cores. inverse() gives (A^-1, d), and only the
+# field calls it. A core repeated as the same object is one field.
+SYMPLECTIC_IMAGES = {
+    Tmsv: lambda spec: ((wigner_analytic(Fock(0)),) * 2, lambda: _pair_inverse(spec)),
+    Spssv: lambda spec: (
+        (wigner_analytic(Fock(1)), wigner_analytic(Fock(0))), lambda: _pair_inverse(spec)
+    ),
+    GaussianCustom: lambda spec: _gaussian_image(state_from_spec(spec)),
+}
+
+
+def _image_field(image, label: str) -> WignerField:
+    """W(z) = prod_i core_i(y_i), y = A^-1 (z - d), each core on its own (n, 2)
+    block (y[i], y[k + i]). The cores are centred at 0 with forms Q_i, so the
+    envelope is A^-T Q A^-1 about d; y is linear in z, so the degree is theirs."""
+    cores, inverse = image
+    a_inv, center = inverse()
+    k = len(cores)
+    reads = [a_inv[[i, k + i]].T.copy() for i in range(k)]
+    form = np.zeros((2 * k, 2 * k))
+    for i, core in enumerate(cores):
+        form[np.ix_([i, k + i], [i, k + i])] = core.envelope.form
 
     def evaluate(z):
-        v = z - mean
-        return norm * np.exp(-0.5 * np.einsum("ni,ij,nj->n", v, inv_cov, v))
+        z = z - center if center.any() else z
+        return math.prod(core.evaluate(z @ read) for core, read in zip(cores, reads))
 
     return WignerField(
-        modes=state.modes,
+        modes=k,
         evaluate=evaluate,
-        envelope=GaussianEnvelope(inv_cov / 2.0, mean.copy()),
-        polynomial_degree=0,
-        label=f"gaussian(k={state.modes})",
+        envelope=GaussianEnvelope(a_inv.T @ form @ a_inv, center),
+        polynomial_degree=max(core.polynomial_degree for core in cores),
+        label=label,
     )
 
 

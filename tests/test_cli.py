@@ -244,6 +244,18 @@ def test_grid_size_limit_exit_code(capsys):
     assert err.startswith("error (size-limit):") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "state",
+    [["tmsv", "--r", "0.5"], ["tmsv", "--r", "400"], ["spssv", "--r", "356"], ["noon", "--N", "1"]],
+    ids=" ".join,
+)
+def test_grid_refuses_two_mode_states_before_building_them(capsys, state):
+    # from r ~ 355 the squeezed field's build overflowed cosh 2r: exit 1 and a traceback
+    code, out, err = run(capsys, ["grid", "--state", *state])
+    assert code == 2 and out == ""
+    assert err == "error (unsupported): grid export supports single-mode fields\n"
+
+
 @pytest.mark.parametrize("half_width", ["8e307", "1e154"])
 def test_grid_non_finite_values_exit_code(capsys, half_width):
     # |z|^2 overflows at the outer points: no nan rows and no numpy warning
@@ -299,12 +311,17 @@ def test_multicopy_rejects_two_mode_state(capsys):
 
 
 def test_multicopy_size_limit_exit_code(capsys):
-    code, _, err = run(
-        capsys,
-        ["multicopy", "--state", "vacuum", "--cutoff", "20", "--max-side", "4096"],
-    )
+    code, _, err = run(capsys, ["multicopy", "--state", "vacuum", "--cutoff", "20"])
     assert code == 4
     assert err.startswith("error (size-limit):")
+
+
+def test_multicopy_max_side_is_no_option(capsys):
+    # the side cap is multicopy.MAX_SIDE, 4096, the one value the flag ever took
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["multicopy", "--state", "vacuum", "--cutoff", "3", "--max-side", "4096"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-side 4096" in capsys.readouterr().err
 
 
 def test_multicopy_bad_alpha_order_exit_code(capsys):

@@ -52,6 +52,21 @@ def test_gaussians_match_the_closed_form_and_never_certify():
             assert _rel(report.moments[m], want) <= 1e-13, (label, m)
 
 
+@pytest.mark.parametrize(
+    "spec, w2, w3",
+    [
+        (states.Tmsv(800.0), "0x1.9f02f6222c71cp-6", "0x1.2b04b63e07ae6p-10"),
+        (states.Spssv(800.0, 1), "0x1.9f02f6222c71dp-6", "0x1.09cb4ca8ea622p-13"),
+        (states.Tmsv(1e300), "0x1.9f02f6222c71cp-6", "0x1.2b04b63e07ae6p-10"),
+    ],
+    ids=str,
+)
+def test_core_route_takes_squeezings_whose_map_overflows(spec, w2, w3):
+    # the squeezed field refuses these (cosh r overflows); the cores never meet r
+    report = moments.analyze(spec)
+    assert (report.moments[2].hex(), report.moments[3].hex()) == (w2, w3)
+
+
 def test_core_report_keeps_label_modes_and_names_the_largest_factor_rule():
     gauss = states.GaussianCustom.from_arrays(np.zeros(6), np.eye(6))
     cases = [
@@ -120,6 +135,27 @@ def test_tensor_rule_on_an_extreme_squeezed_field_is_degenerate():
     # r = 9.5; analyze takes the core and never meets it
     with pytest.raises(DegenerateCovarianceError):
         moments.moment(wigner.wigner_analytic(states.Tmsv(9.5)), 2)
+
+
+def test_tensor_rule_on_squeezed_fields_is_accurate_or_degenerate():
+    # the exact maps hold the tensor rule within 2.6e-9 of the cores up to r = 8.05;
+    # from r = 8.1 the envelope's eigenvalue ratio e^{4r} passes
+    # quadrature.MAX_FORM_RATIO and the rule refuses instead of drifting
+    cores = {states.Tmsv: (states.Fock(0),) * 2, states.Spssv: (states.Fock(1), states.Fock(0))}
+    want = {(kind, m): _core_exact(core, m) for kind, core in cores.items() for m in (1, 2, 3)}
+    refused = set()
+    for i in range(1, 201):
+        r = 0.05 * i
+        for spec in (states.Tmsv(r), states.Spssv(r, 0), states.Spssv(r, 1)):
+            field = wigner.wigner_analytic(spec)
+            for m in (1, 2, 3):
+                try:
+                    got = moments.moment(field, m)
+                except DegenerateCovarianceError:
+                    refused.add(i)
+                    continue
+                assert _rel(got, want[type(spec), m]) <= 1e-8, (spec, m)
+    assert min(refused) == 162
 
 
 def test_cutoff_and_invalid_gaussians_keep_their_routes():

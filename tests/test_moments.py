@@ -297,7 +297,7 @@ def test_analyze_raises_on_a_nan_field(monkeypatch, route):
     fock1 = wigner.wigner_analytic(states.Fock(1))
     monkeypatch.setattr(moments, "field_for", lambda spec, cutoff: (nan_field(fock1), None))
     monkeypatch.setitem(
-        moments._SYMPLECTIC_CORES, states.Tmsv, lambda spec: (nan_field(fock1),) * 2
+        wigner.SYMPLECTIC_IMAGES, states.Tmsv, lambda spec: ((nan_field(fock1),) * 2, None)
     )
     with pytest.raises(NonFiniteResultError):
         if route == "tensor":

@@ -307,8 +307,8 @@ def test_o3_at_cutoff_12_matches_exact_moments():
 
 
 def test_o3_at_the_largest_cutoff_matches_exact_moments():
-    # cutoff 15 is the largest under DEFAULT_MAX_SIDE (16^3 = 4096)
-    assert multicopy.DEFAULT_MAX_SIDE == 16**3
+    # cutoff 15 is the largest under MAX_SIDE (16^3 = 4096)
+    assert multicopy.MAX_SIDE == 16**3
     assert check_o3_exact_moments(15).values.size == 577_744
 
 

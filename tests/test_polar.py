@@ -186,17 +186,24 @@ TENSOR = QuadratureSpec(order=12)
 )
 def test_evaluate_takes_only_flat_float_points(monkeypatch, spec, cutoff, quad):
     calls = []
-    for name in ("wigner_analytic", "wigner_fock_synthesis", "wigner_gaussian", "dilate"):
-        build = getattr(moments, name)
+    # field_for builds through moments' names, the images and their cores through wigner's
+    for module, name in (
+        (moments, "wigner_analytic"),
+        (moments, "wigner_fock_synthesis"),
+        (moments, "wigner_gaussian"),
+        (wigner, "wigner_analytic"),
+        (wigner, "dilate"),
+    ):
+        build = getattr(module, name)
         monkeypatch.setattr(
-            moments, name, lambda *a, _b=build, **kw: _flat_only(_b(*a, **kw), calls)
+            module, name, lambda *a, _b=build, **kw: _flat_only(_b(*a, **kw), calls)
         )
     field, _ = moments.field_for(spec, cutoff)
     if quad is None:
         moments.analyze(spec, cutoff=cutoff)
     else:
         moments._moments_and_errors(field, quad, 3)  # and the doubled-order pass
-    for f in (field, moments.dilate(field, 0.7)):
+    for f in (field, wigner.dilate(field, 0.7)):
         moments.moment(f, 3, quad)
     if quad is TENSOR:
         assert calls
@@ -415,7 +422,8 @@ def _one_mode_fields():
     out += [wigner.dilate(wigner.wigner_analytic(states.Fock(n)), c) for n in (1, 4) for c in (0.3, 2.5)]
     for modes in (1, 2):
         spec = soundness.random_gaussian_spec(rng, modes)
-        out.append(moments._gaussian_core(spec)[0])
+        cores, _ = wigner.SYMPLECTIC_IMAGES[states.GaussianCustom](spec)
+        out.append(cores[0])
     return out
 
 
@@ -474,8 +482,8 @@ def test_one_mode_analyze_evaluates_two_polar_grids():
 )
 def test_core_route_evaluates_two_polar_grids_per_distinct_factor(monkeypatch, spec, calls):
     seen = []
-    build = moments.wigner_analytic
-    monkeypatch.setattr(moments, "wigner_analytic", lambda s: _logged(build(s), seen, type))
+    build = wigner.wigner_analytic  # the images build their cores through it
+    monkeypatch.setattr(wigner, "wigner_analytic", lambda s: _logged(build(s), seen, type))
     moments.analyze(spec)
     assert seen == ["polar"] * calls
 

@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from kernel_reference import kernel_reference
-from wignermoments import states, wigner
-from wignermoments.errors import InvalidArgumentError, UnsupportedOperationError
+from wignermoments import soundness, states, wigner
+from wignermoments.errors import (
+    DegenerateCovarianceError,
+    InvalidArgumentError,
+    UnsupportedOperationError,
+)
 from wignermoments.quadrature import GridSpec
 
 PI = math.pi
@@ -71,6 +75,9 @@ def test_noon_and_squeezed_pair_origin_values():
         (states.Noon(3, 1.2), None, 1e-15),
         (states.Tmsv(0.5), 24, 1e-10),
         (states.Spssv(0.5, 1), 28, 1e-10),
+        (states.Spssv(0.5, 0), 28, 1e-10),
+        (states.Tmsv(0.7), 32, 1e-10),
+        (states.Spssv(0.7, 1), 38, 1e-10),
     ],
 )
 def test_analytic_matches_synthesis(spec, cutoff, tol):
@@ -88,6 +95,31 @@ def test_gaussian_field_matches_analytic_tmsv():
     gauss = wigner.wigner_gaussian(states.tmsv_gaussian(0.7))
     z = probe(rng, 2, n=120, span=2.0)
     assert np.max(np.abs(analytic(z) - gauss(z))) < 1e-14
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_wigner_gaussian_matches_the_covariance_formula(modes):
+    # the image of k dilated vacua under sqrt(nu) L^-1 is the Gaussian of sigma = L L^T
+    rng = np.random.default_rng(modes)
+    for _ in range(5):
+        state = states.state_from_spec(soundness.random_gaussian_spec(rng, modes))
+        sigma, mean = state.covariance, state.mean
+        z = mean + probe(rng, modes, n=400, span=1.0) @ np.linalg.cholesky(sigma).T * 3.0
+        v = z - mean
+        want = np.exp(-0.5 * np.einsum("ni,ij,nj->n", v, np.linalg.inv(sigma), v)) / (
+            (2.0 * PI) ** modes * math.sqrt(np.linalg.det(sigma))
+        )
+        got = wigner.wigner_gaussian(state)(z)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "spec", [states.Tmsv(800.0), states.Spssv(800.0, 0), states.Spssv(800.0, 1)], ids=str
+)
+def test_squeezed_field_past_cosh_overflow_is_degenerate(spec):
+    # cosh r of the map overflows from r ~ 710.5; analyze takes the cores and never builds it
+    with pytest.raises(DegenerateCovarianceError, match="overflows cosh r"):
+        wigner.wigner_analytic(spec)
 
 
 # ---------------------------------------------------------------------------
