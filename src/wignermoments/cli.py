@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 from contextlib import contextmanager
@@ -91,11 +92,15 @@ def _state_spec(args):
     return spec_cls(**kwargs)
 
 
+def _fmt(x) -> str:
+    """A CSV field: an integer (numpy's too) as str, any other number as the repr of a float."""
+    return str(int(x)) if isinstance(x, numbers.Integral) else repr(float(x))
+
+
 def cmd_analyze(args) -> int:
     import numpy as np
 
     from . import moments
-    from .moments import _fmt
 
     spec = _state_spec(args)
     # moments._report turns a non-finite result into exit 3 with one error
@@ -116,7 +121,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_table(args) -> int:
     from . import moments
-    from .moments import _fmt
 
     if args.table == "table1":
         results = moments.sweep("noon", range(1, 6))
@@ -161,7 +165,6 @@ def cmd_figure(args) -> int:
     import numpy as np
 
     from . import moments
-    from .moments import _fmt
 
     check_int("--steps", args.steps, 1)
     if args.figure == "fig1":
@@ -194,7 +197,7 @@ def cmd_grid(args) -> int:
     # wigner_grid turns a non-finite value into exit 3; the overflow need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
         xs, ps, values = wigner.wigner_grid(field, gspec)
-    # the repr of each value as a Python float, as moments._fmt gives it, taken once
+    # the repr of each value as a Python float, as _fmt gives it, taken once
     ps_text = list(map(repr, ps.tolist()))
     coords = (f"{x},{p}" for x in map(repr, xs.tolist()) for p in ps_text)
     rows = map(",".join, zip(coords, map(repr, values.ravel().tolist())))

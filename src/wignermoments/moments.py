@@ -72,8 +72,6 @@ __all__ = [
     "moment_gaussian_closed_form",
     "read_report",
     "sweep",
-    "sweep_rows",
-    "write_sweep_csv",
 ]
 
 CERTIFIED = "NegativityCertified"
@@ -338,14 +336,11 @@ def analyze(spec: StateSpec, max_m: int = 3, cutoff: int | None = None) -> Momen
 # sweeps
 
 
-SWEEP_FAMILIES = tuple(FAMILIES)
-
-
 def _sweep_spec(family: str, value):
     """The family's spec with `value` as its first field, the rest default."""
     if family not in FAMILIES:
         raise InvalidArgumentError(
-            f"unknown sweep family {family!r}; expected one of {SWEEP_FAMILIES}"
+            f"unknown sweep family {family!r}; expected one of {tuple(FAMILIES)}"
         )
     spec_cls = FAMILIES[family].spec
     # an integral float fills an int field (2.0 -> 2); the spec refuses other non-ints
@@ -357,28 +352,6 @@ def _sweep_spec(family: str, value):
 def sweep(family: str, values):
     """Analyze a one-parameter family; returns [(param, MomentReport)]."""
     return [(value, analyze(_sweep_spec(family, value))) for value in values]
-
-
-def sweep_rows(results) -> list[str]:
-    """CSV rows (param,w2,w3,delta,verdict) for a sweep result."""
-    lines = ["param,w2,w3,delta,verdict"]
-    for value, report in results:
-        lines.append(
-            f"{_fmt(value)},{_fmt(report.moments[2])},{_fmt(report.moments[3])},"
-            f"{_fmt(report.delta)},{report.verdict}"
-        )
-    return lines
-
-
-def write_sweep_csv(results, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(sweep_rows(results)) + "\n")
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
 
 
 # ---------------------------------------------------------------------------

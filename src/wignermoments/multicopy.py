@@ -57,10 +57,6 @@ __all__ = [
 ]
 
 MAX_SIDE = 4096  # of an m-copy operator: O_3 up to cutoff 15, (cutoff + 1)^3 = 16^3
-# Rows/columns touching the top Fock levels see O(1) truncation artifacts;
-# identity checks restrict to indices whose per-mode occupation stays this
-# many levels below the cutoff.
-SAFE_BOUNDARY_LEVELS = 2
 DUMP_CHUNK = 1 << 16  # entries formatted at a time by TruncatedOperator.dump
 
 
@@ -149,12 +145,6 @@ class TruncatedOperator:
         out = np.zeros((self.side, self.side), dtype=np.result_type(float, self.values))
         out[self._positions()] = self.values
         return out
-
-    def safe_slice(self) -> np.ndarray:
-        """Restriction to basis states with every register below cutoff+1-SAFE_BOUNDARY_LEVELS."""
-        occupations = np.indices((self.dim,) * self.modes).reshape(self.modes, -1)
-        idx = np.nonzero(np.all(occupations <= self.cutoff - SAFE_BOUNDARY_LEVELS, axis=0))[0]
-        return self.matrix[np.ix_(idx, idx)]
 
     def dump(self, path) -> None:
         """Write side, cutoff and the nonzero entries, row-major, as row,col,re,im CSV."""

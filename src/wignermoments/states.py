@@ -40,19 +40,14 @@ __all__ = [
     "GaussianState",
     "annihilation_matrix",
     "coherent_state_matrix",
-    "fock_state",
-    "mixed_fock01",
-    "noon_state",
     "param_type",
     "spec_label",
     "spec_modes",
     "spssv_min_cutoff",
-    "spssv_state",
     "state_from_spec",
     "symplectic_form",
     "tmsv_gaussian",
     "tmsv_min_cutoff",
-    "tmsv_state",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -66,8 +61,8 @@ TRUNCATION_TAIL = 1e-8
 EIG_CHECK_MAX_SIDE = 2048
 
 # Largest side of a density matrix assembled from a ket (4096: 268 MB of
-# complex entries). tmsv_state(1.0) has side 1,156 and spssv_state(1.0)
-# 1,681; tmsv_state(3.0) would need 3,452,164.
+# complex entries). Tmsv(1.0) has side 1,156 at its default cutoff and
+# Spssv(1.0) 1,681; Tmsv(3.0) would need 3,452,164.
 MAX_DENSE_SIDE = 4096
 
 
@@ -215,6 +210,13 @@ class FockState:
                 f"density matrix of side {ket.size} exceeds cap {MAX_DENSE_SIDE}"
             )
         nrm = np.linalg.norm(ket)
+        if nrm < 1e-150 and ket.any():
+            # the squares of entries this small are subnormal or 0: rescale by
+            # the largest first, part by part, as a complex quotient by a
+            # subnormal overflows
+            big = np.abs(ket).max()
+            ket = ket.real / big + 1j * (ket.imag / big)
+            nrm = np.linalg.norm(ket)
         if nrm == 0.0:
             raise InvalidArgumentError("ket has zero norm")
         ket = ket / nrm
@@ -454,21 +456,6 @@ def state_from_spec(spec: StateSpec, cutoff: int | None = None):
     return family.build(spec, cutoff + 1)
 
 
-def fock_state(n: int, cutoff: int | None = None) -> FockState:
-    """|n><n| truncated at `cutoff` (default: exactly n)."""
-    return state_from_spec(Fock(n), cutoff)
-
-
-def noon_state(N: int, phi: float = math.pi, cutoff: int | None = None) -> FockState:
-    """(|N,0> + e^{i phi}|0,N>)/sqrt(2) as a two-mode density matrix."""
-    return state_from_spec(Noon(N, phi), cutoff)
-
-
-def tmsv_state(r: float, cutoff: int | None = None) -> FockState:
-    """Two-mode squeezed vacuum, Fock representation sum lam^n |n,n>, lam = tanh r."""
-    return state_from_spec(Tmsv(r), cutoff)
-
-
 def tmsv_gaussian(r: float) -> GaussianState:
     """Covariance form of the two-mode squeezed vacuum.
 
@@ -484,17 +471,6 @@ def tmsv_gaussian(r: float) -> GaussianState:
     cov[0, 1] = cov[1, 0] = s / 2.0
     cov[2, 3] = cov[3, 2] = -s / 2.0
     return GaussianState(np.zeros(4), cov)
-
-
-def spssv_state(r: float, parity: int = 1, cutoff: int | None = None) -> FockState:
-    """Single-photon-subtracted two-mode squeezed vacuum, normalized after truncation:
-    |xi> ~ sum_n lam^n sqrt(n) (|n-1, n> + (-1)^parity |n, n-1>), lam = tanh r."""
-    return state_from_spec(Spssv(r, parity), cutoff)
-
-
-def mixed_fock01(lam: float, cutoff: int | None = None) -> FockState:
-    """lam |0><0| + (1 - lam) |1><1| truncated at `cutoff` (default 1)."""
-    return state_from_spec(MixedFock01(lam), cutoff)
 
 
 # ---------------------------------------------------------------------------

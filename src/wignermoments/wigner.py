@@ -73,8 +73,6 @@ __all__ = [
     "wigner_grid",
 ]
 
-REAL_TOL = 1e-10
-
 # Floats of kernel tables per point block of two-mode synthesis on flat
 # points (1 MB): small enough that a block's tables and temporaries stay in
 # cache, and that the allocator reuses their memory from block to block
@@ -189,8 +187,11 @@ def _radial_field(radial, degree: int, label: str) -> WignerField:
 
 def _fock_field(spec: Fock) -> WignerField:
     def radial(u):
-        *_, lag = _laguerre(0, 2.0 * u, spec.n + 1)
-        return ((-1.0) ** spec.n / math.pi) * np.exp(-u) * lag
+        w = ((-1.0) ** spec.n / math.pi) * np.exp(-u)
+        if spec.n:  # L_0 = 1: the vacuum runs no recurrence
+            *_, lag = _laguerre(0, 2.0 * u, spec.n + 1)
+            w *= lag
+        return w
 
     return _radial_field(radial, 2 * spec.n, spec_label(spec))
 
@@ -474,49 +475,45 @@ def _synth_polar_one_mode(table, dim: int, r: np.ndarray, n_theta: int) -> np.nd
     return block
 
 
-def _pair_parts(pairs: np.ndarray, dim: int):
-    """The kernel parts that the level pairs a = m * dim + n read.
+def _mode_parts(m: np.ndarray, n: np.ndarray, dim: int):
+    """The kernel parts that one mode's level pairs (m, n) read.
 
-    Returns the (m, n, part) triples of fock_kernel_values that K[m, n] of
-    the pairs need, and the complex (len(pairs), len(parts)) matrix E with
-    K[m, n] = E[a] @ table: Re K[max, min] for every pair and, off the
-    diagonal, +-i Im K[max, min], since K[n, m] = conj(K[m, n]).
+    Returns the (m, n, part) triples of fock_kernel_values, numbered over the
+    distinct pairs in ascending m * dim + n with Re before Im, and per pair
+    its Re K[max, min] part, its Im part (-1 on the diagonal) and
+    s = sign(m - n): K[m, n] = Re + i s Im, since K[n, m] = conj(K[m, n]).
     """
-    index, reads = {}, []
-    for row, (m, n) in enumerate(divmod(a, dim) for a in pairs.tolist()):
-        high, low = max(m, n), min(m, n)
-        reads.append((row, index.setdefault((high, low, 0), len(index)), 1.0))
-        if m != n:
-            reads.append((row, index.setdefault((high, low, 1), len(index)), 1j if m > n else -1j))
-    matrix = np.zeros((pairs.size, len(index)), dtype=complex)
-    rows, cols, weights = zip(*reads)
-    matrix[rows, cols] = weights
-    return np.array(list(index)), matrix
+    q = m * dim + n
+    re, im = np.zeros(dim * dim, dtype=np.intp), np.full(dim * dim, -1)
+    index = {}
+    for pair in sorted(set(q.tolist())):
+        a, b = divmod(pair, dim)
+        re[pair] = index.setdefault((max(a, b), min(a, b), 0), len(index))
+        if a != b:
+            im[pair] = index.setdefault((max(a, b), min(a, b), 1), len(index))
+    return np.array(list(index)), re[q], im[q], np.sign(m - n)
 
 
 def _two_mode_coupling(rho: np.ndarray, dim: int):
     """rho as a real coupling C of per-mode kernel tables, W = T1^T C T2.
 
-    W = sum rho[(m1, m2), (n1, n2)] K1[m1, n1] K2[m2, n2], so the realignment
-    R[(m1, n1), (m2, n2)] = rho[(m1, m2), (n1, n2)] couples the level pairs
-    of mode 1 with those of mode 2. Only its nonzero rows and columns are
-    kept, and C = E1^T R E2 maps them onto each mode's kernel parts
-    (_pair_parts). The parts are linearly independent functions and W is
-    real, so a Hermitian rho leaves no imaginary residue in C. Returns
-    (parts of mode 1, C, parts of mode 2).
+    W = sum rho[(m1, m2), (n1, n2)] K1[m1, n1] K2[m2, n2] over the nonzero
+    entries v of rho. With K_i[m_i, n_i] = A_i + i s_i B_i (_mode_parts) and
+    W real, each adds Re v (A1 A2 - s1 s2 B1 B2) - Im v (s1 B1 A2 + s2 A1 B2)
+    to C. Returns (parts of mode 1, C, parts of mode 2).
     """
-    d2 = dim * dim
-    realigned = rho.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(d2, d2)
-    nonzero = realigned != 0
-    rows = np.flatnonzero(nonzero.any(axis=1))
-    cols = np.flatnonzero(nonzero.any(axis=0))
-    parts1, reads1 = _pair_parts(rows, dim)
-    parts2, reads2 = _pair_parts(cols, dim)
-    coupling = reads1.T @ realigned[np.ix_(rows, cols)] @ reads2
-    imag = np.abs(coupling.imag).max(initial=0.0)
-    if imag > REAL_TOL:
-        raise InvalidArgumentError(f"two-mode synthesis produced imaginary residue {imag:.2e}")
-    return parts1, np.ascontiguousarray(coupling.real), parts2
+    rows, cols = np.nonzero(rho)
+    v = rho[rows, cols]
+    (m1, m2), (n1, n2) = np.divmod(rows, dim), np.divmod(cols, dim)
+    parts1, a1, b1, s1 = _mode_parts(m1, n1, dim)
+    parts2, a2, b2, s2 = _mode_parts(m2, n2, dim)
+    # the four terms' cells and weights; a diagonal's s = 0 drops its Im index -1
+    cells = np.concatenate([a1, b1, b1, a1]) * len(parts2) + np.concatenate([a2, b2, a2, b2])
+    weights = np.concatenate([v.real, -s1 * s2 * v.real, -s1 * v.imag, -s2 * v.imag])
+    keep = weights != 0.0
+    size = len(parts1) * len(parts2)
+    coupling = np.bincount(cells[keep], weights[keep], minlength=size)
+    return parts1, coupling.reshape(len(parts1), len(parts2)), parts2
 
 
 def _synth_flat_two_mode(parts1, coupling, parts2, z: np.ndarray) -> np.ndarray:

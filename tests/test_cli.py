@@ -280,7 +280,7 @@ def test_grid_output_matches_per_value_formatting(capsys):
     lines = ["x,p,w"]
     for i, x in enumerate(xs):
         for j, p in enumerate(ps):
-            lines.append(f"{moments._fmt(float(x))},{moments._fmt(float(p))},{moments._fmt(float(values[i, j]))}")
+            lines.append(f"{cli._fmt(float(x))},{cli._fmt(float(p))},{cli._fmt(float(values[i, j]))}")
     assert out == "\n".join(lines) + "\n"
 
 

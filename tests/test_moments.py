@@ -366,23 +366,6 @@ def test_read_report_refuses_malformed_values(text):
 # sweeps
 
 
-def test_sweep_fock_rows_format(tmp_path):
-    rows = moments.sweep_rows(moments.sweep("fock", [0, 1]))
-    assert rows[0] == "param,w2,w3,delta,verdict"
-    assert rows[1].startswith("0,")
-    assert rows[1].endswith(",Inconclusive")
-    assert rows[2].startswith("1,")
-    assert rows[2].endswith(",NegativityCertified")
-    # float params are repr-formatted
-    rows = moments.sweep_rows(moments.sweep("mixed01", [0.25]))
-    assert rows[1].split(",")[0] == "0.25"
-    path = tmp_path / "sweep.csv"
-    moments.write_sweep_csv(moments.sweep("fock", [0]), path)
-    content = path.read_text()
-    assert content.startswith("param,w2,w3,delta,verdict\n0,")
-    assert content.endswith("\n")
-
-
 def test_sweep_refuses_non_integral_values_of_int_fields():
     # int() used to truncate them: fock 2.7 reported Fock(2)'s moments
     for family, value in (("fock", 2.7), ("noon", 1.9), ("noon", np.float64(1.5))):
@@ -419,7 +402,6 @@ def test_field_for_builds_states_through_its_own_binding(monkeypatch):
 
 
 def test_sweep_families_follow_family_table():
-    assert moments.SWEEP_FAMILIES == tuple(states.FAMILIES)
     # the value fills the family's first field, cast to its declared type
     labels = {
         "fock": (2.0, "fock(n=2)"),

@@ -58,12 +58,6 @@ def test_truncated_operator_validation_and_props():
     assert not nothing.matrix.any()
 
 
-def test_safe_slice_keeps_interior_levels():
-    op = multicopy.swap_operator(4)
-    sub = op.safe_slice()
-    assert sub.shape == (9, 9)  # both registers restricted to 0..2
-
-
 def test_dump_round_trips_nonzeros(tmp_path):
     op = multicopy.swap_operator(1)
     path = tmp_path / "swap.csv"
@@ -99,8 +93,8 @@ def test_swap_permutation_action():
 def test_swap_expectation_is_state_overlap():
     # Tr[SWAP (rho x sigma)] = Tr[rho sigma]
     cutoff = 5
-    rho = states.fock_state(1, cutoff=cutoff).matrix
-    sigma = states.mixed_fock01(0.3, cutoff=cutoff).matrix
+    rho = states.state_from_spec(states.Fock(1), cutoff=cutoff).matrix
+    sigma = states.state_from_spec(states.MixedFock01(0.3), cutoff=cutoff).matrix
     op = multicopy.swap_operator(cutoff)
     got = multicopy.multicopy_expectation(op, [rho, sigma])
     assert got == pytest.approx(np.trace(rho @ sigma).real, abs=1e-14)
@@ -165,7 +159,7 @@ def test_displaced_parity_is_hermitian_involution():
 def test_displaced_parity_reads_wigner_function():
     # Tr[rho Pi(alpha)] / pi = W(sqrt2 Re alpha, sqrt2 Im alpha)
     cutoff = 24
-    rho = states.fock_state(1, cutoff=cutoff).matrix
+    rho = states.state_from_spec(states.Fock(1), cutoff=cutoff).matrix
     field = wigner.wigner_analytic(states.Fock(1))
     for alpha in (0.3 + 0.2j, -0.5j, 0.7):
         op = multicopy.displaced_parity(alpha, cutoff)
@@ -195,7 +189,7 @@ def test_o2_is_swap_over_2pi():
 def test_multicopy_vacuum_moments():
     # Tr[vac^(x)m O_m] = w_m(vacuum) = 1/(m pi^{m-1})
     cutoff = 5
-    vac = states.fock_state(0, cutoff=cutoff)
+    vac = states.state_from_spec(states.Fock(0), cutoff=cutoff)
     for m in (2, 3):
         op = multicopy.multicopy_observable(m, cutoff)
         got = multicopy.multicopy_expectation(op, [vac] * m)
@@ -314,7 +308,7 @@ def test_o3_at_the_largest_cutoff_matches_exact_moments():
 
 def test_multicopy_expectation_guards():
     op = multicopy.multicopy_observable(2, 3)
-    vac = states.fock_state(0, cutoff=3)
+    vac = states.state_from_spec(states.Fock(0), cutoff=3)
     with pytest.raises(InvalidArgumentError):
         multicopy.multicopy_expectation(op, [vac])
     with pytest.raises(InvalidArgumentError):
@@ -483,8 +477,8 @@ def test_forward_backward_pure_state_unit_purity():
 def test_forward_backward_mixed_product_state():
     # mixed 0/1 state in register A, vacuum in register B
     cutoff = 3
-    mixed = states.mixed_fock01(0.3, cutoff=cutoff).matrix
-    vac = states.fock_state(0, cutoff=cutoff).matrix
+    mixed = states.state_from_spec(states.MixedFock01(0.3), cutoff=cutoff).matrix
+    vac = states.state_from_spec(states.Fock(0), cutoff=cutoff).matrix
     state = states.FockState(np.kron(mixed, vac), modes=2)
     got3 = multicopy.forward_backward_protocol(state, m=3)
     assert got3 == pytest.approx(0.3**3 + 0.7**3, abs=1e-13)
@@ -497,7 +491,7 @@ def test_forward_backward_guards():
     with pytest.raises(InvalidArgumentError):
         multicopy.forward_backward_protocol(state, m=1)
     with pytest.raises(InvalidArgumentError):
-        multicopy.forward_backward_protocol(states.fock_state(0, cutoff=2), m=3)
+        multicopy.forward_backward_protocol(states.state_from_spec(states.Fock(0), cutoff=2), m=3)
     big = states.state_from_spec(states.Noon(4, 0.0))  # dm = 5, side 5^6
     with pytest.raises(SizeLimitError):
         multicopy.forward_backward_protocol(big, m=3)

@@ -160,10 +160,10 @@ def test_riemann_moment_guards():
 
 
 def test_trace_power_pure_and_mixed():
-    pure = states.fock_state(2, cutoff=6)
+    pure = states.state_from_spec(states.Fock(2), cutoff=6)
     assert oracle.trace_power(pure, 2) == pytest.approx(1.0, abs=1e-14)
     assert oracle.trace_power(pure, 3) == pytest.approx(1.0, abs=1e-14)
-    mixed = states.mixed_fock01(0.3, cutoff=6)
+    mixed = states.state_from_spec(states.MixedFock01(0.3), cutoff=6)
     assert oracle.trace_power(mixed, 2) == pytest.approx(
         0.3**2 + 0.7**2, abs=1e-14
     )
@@ -179,5 +179,5 @@ def test_trace_power_connects_to_w2():
     spec = states.MixedFock01(0.3)
     field = wigner.wigner_analytic(spec)
     w2 = moments.moment(field, 2)
-    state = states.mixed_fock01(0.3, cutoff=6)
+    state = states.state_from_spec(states.MixedFock01(0.3), cutoff=6)
     assert w2 * 2.0 * PI == pytest.approx(oracle.trace_power(state, 2), abs=1e-12)

@@ -384,7 +384,7 @@ def test_two_mode_size_cap_refuses_before_building_the_rule():
 
 def test_sector_cap_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(wigner, "MAX_SECTOR_BYTES", 1000)
-    field = wigner.wigner_fock_synthesis(states.fock_state(2, cutoff=40))
+    field = wigner.wigner_fock_synthesis(states.state_from_spec(states.Fock(2), cutoff=40))
     with pytest.raises(SizeLimitError):
         moments.moment(field, 3)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wignermoments import cli, moments, states, wigner
+from wignermoments import cli, moments, oracle, states, wigner
 from wignermoments.errors import (
     CutoffTooSmallError,
     DegenerateCovarianceError,
@@ -13,7 +13,7 @@ from wignermoments.errors import (
 
 
 def test_fock_state_matrix():
-    st = states.fock_state(2)
+    st = states.state_from_spec(states.Fock(2))
     assert st.modes == 1
     assert st.dim == 3
     assert st.matrix[2, 2] == 1.0
@@ -22,7 +22,7 @@ def test_fock_state_matrix():
 
 
 def test_fock_state_padding():
-    st = states.fock_state(1, cutoff=5)
+    st = states.state_from_spec(states.Fock(1), cutoff=5)
     assert st.dim == 6
     assert st.matrix[1, 1] == 1.0
 
@@ -31,11 +31,11 @@ def test_fock_spec_validation():
     with pytest.raises(InvalidArgumentError):
         states.Fock(-1)
     with pytest.raises(CutoffTooSmallError):
-        states.fock_state(3, cutoff=2)
+        states.state_from_spec(states.Fock(3), cutoff=2)
 
 
 def test_noon_state_structure():
-    st = states.noon_state(2)
+    st = states.state_from_spec(states.Noon(2))
     d = st.dim
     ket = np.zeros(d * d, dtype=complex)
     ket[2 * d + 0] = 1 / math.sqrt(2)
@@ -48,7 +48,7 @@ def test_noon_state_structure():
 
 def test_noon_reduced_state():
     # tracing out one arm of (|20> - |02>)/sqrt(2) leaves an even mixture
-    st = states.noon_state(2, cutoff=4)
+    st = states.state_from_spec(states.Noon(2), cutoff=4)
     red = np.trace(st.matrix.reshape(5, 5, 5, 5), axis1=1, axis2=3)
     expect = np.zeros((5, 5))
     expect[0, 0] = 0.5
@@ -66,7 +66,7 @@ def test_noon_phase_range():
 
 def test_tmsv_state_schmidt_coefficients():
     r = 0.5
-    st = states.tmsv_state(r)
+    st = states.state_from_spec(states.Tmsv(r))
     lam = math.tanh(r)
     d = st.dim
     # diagonal weights are (1 - lam^2) lam^(2n) after renormalization
@@ -79,14 +79,14 @@ def test_tmsv_state_schmidt_coefficients():
 def test_tmsv_min_cutoff_monotone():
     assert states.tmsv_min_cutoff(0.1) < states.tmsv_min_cutoff(1.0)
     with pytest.raises(CutoffTooSmallError):
-        states.tmsv_state(1.0, cutoff=2)
+        states.state_from_spec(states.Tmsv(1.0), cutoff=2)
 
 
 @pytest.mark.parametrize(
     "min_cutoff, build",
     [
-        (states.tmsv_min_cutoff, lambda r: states.tmsv_state(r, cutoff=5)),
-        (states.spssv_min_cutoff, lambda r: states.spssv_state(r, cutoff=5)),
+        (states.tmsv_min_cutoff, lambda r: states.state_from_spec(states.Tmsv(r), cutoff=5)),
+        (states.spssv_min_cutoff, lambda r: states.state_from_spec(states.Spssv(r), cutoff=5)),
     ],
 )
 def test_min_cutoff_rejects_saturated_squeezing(min_cutoff, build):
@@ -111,22 +111,22 @@ def test_tmsv_gaussian_covariance():
 
 
 def test_spssv_antisymmetric_for_odd_parity():
-    st = states.spssv_state(0.4, parity=1)
+    st = states.state_from_spec(states.Spssv(0.4, parity=1))
     d = st.dim
     mat = st.matrix.reshape(d, d, d, d)
     swapped = np.transpose(mat, (1, 0, 3, 2))
     assert np.allclose(mat, swapped, atol=1e-14)  # density matrix symmetric under swap
     # overlap with TMSV vanishes: opposite exchange symmetry of the kets
-    tm = states.tmsv_state(0.4, cutoff=st.cutoff)
+    tm = states.state_from_spec(states.Tmsv(0.4), cutoff=st.cutoff)
     overlap = np.real(np.trace(st.matrix @ tm.matrix))
     assert abs(overlap) < 1e-12
 
 
 def test_mixed_fock01_matrix():
-    st = states.mixed_fock01(0.3)
+    st = states.state_from_spec(states.MixedFock01(0.3))
     assert np.allclose(st.matrix, np.diag([0.3, 0.7]), atol=1e-15)
-    assert states.mixed_fock01(0.3, cutoff=None).cutoff == 1
-    assert states.mixed_fock01(0.3, cutoff=3).cutoff == 3
+    assert states.state_from_spec(states.MixedFock01(0.3), cutoff=None).cutoff == 1
+    assert states.state_from_spec(states.MixedFock01(0.3), cutoff=3).cutoff == 3
     with pytest.raises(InvalidArgumentError):
         states.MixedFock01(1.2)
 
@@ -157,10 +157,10 @@ def test_fock_state_size_limit():
 
 
 def test_from_ket_size_cap(monkeypatch):
-    # tmsv_state(3.0) needs cutoff 1857: a side of 3,452,164, i.e. a 173 TiB
+    # Tmsv(3.0) needs cutoff 1857: a side of 3,452,164, i.e. a 173 TiB
     # outer product; the cap refuses it before allocating
     with pytest.raises(SizeLimitError):
-        states.tmsv_state(3.0)
+        states.state_from_spec(states.Tmsv(3.0))
     with pytest.raises(SizeLimitError):
         states.FockState.from_ket(np.ones(states.MAX_DENSE_SIDE + 1))
     monkeypatch.setattr(states, "MAX_DENSE_SIDE", 16)
@@ -169,8 +169,8 @@ def test_from_ket_size_cap(monkeypatch):
         states.FockState.from_ket(np.ones(17))
     monkeypatch.undo()
     # the largest default-cutoff squeezed pairs of the catalog stay admitted
-    assert states.tmsv_state(1.0).matrix.shape == (1156, 1156)
-    assert states.spssv_state(1.0).matrix.shape == (1681, 1681)
+    assert states.state_from_spec(states.Tmsv(1.0)).matrix.shape == (1156, 1156)
+    assert states.state_from_spec(states.Spssv(1.0)).matrix.shape == (1681, 1681)
 
 
 def test_fock_custom_refuses_another_cutoff():
@@ -208,16 +208,27 @@ def test_from_ket_normalizes():
     st = states.FockState.from_ket(ket)
     assert np.trace(st.matrix) == pytest.approx(1.0, abs=1e-15)
     assert st.matrix[1, 1] == pytest.approx(0.64, abs=1e-15)
+    with pytest.raises(InvalidArgumentError, match="zero norm"):
+        states.FockState.from_ket(np.zeros(3, dtype=complex))
+
+
+@pytest.mark.parametrize("r", [1e-150, 1e-158, 1e-170, 5e-324])
+def test_tiny_spssv_at_a_cutoff_certifies(r):
+    # its ket's entries are about r, so their squares are subnormal or 0
+    report = moments.analyze(states.Spssv(r, 1), cutoff=2)
+    assert report.verdict == moments.CERTIFIED
+    for m in (2, 3):
+        want = math.prod(oracle.radial_closed_form_moment(states.Fock(n), m) for n in (1, 0))
+        assert report.moments[m] == pytest.approx(want, abs=1e-14)
 
 
 def test_from_mixture():
-    st = states.FockState.from_mixture(
-        [0.25, 0.75], [states.fock_state(0, cutoff=2), states.fock_state(2)]
-    )
+    zero, two = states.state_from_spec(states.Fock(0), 2), states.state_from_spec(states.Fock(2))
+    st = states.FockState.from_mixture([0.25, 0.75], [zero, two])
     assert st.matrix[0, 0] == pytest.approx(0.25)
     assert st.matrix[2, 2] == pytest.approx(0.75)
     with pytest.raises(InvalidArgumentError):
-        states.FockState.from_mixture([-0.1, 1.1], [states.fock_state(0), states.fock_state(1)])
+        states.FockState.from_mixture([-0.1, 1.1], [zero, two])
 
 
 def test_spec_labels_round_trip():
@@ -284,7 +295,7 @@ def test_family_table_agrees_with_fields_and_states(name):
     assert moments.field_for(spec, None)[1] is None
 
 
-@pytest.mark.parametrize("bad", [object(), None, "fock", 3, states.fock_state(1)])
+@pytest.mark.parametrize("bad", [object(), None, "fock", 3, states.state_from_spec(states.Fock(1))])
 def test_non_spec_rejected_by_every_dispatcher(bad):
     calls = [
         states.spec_label,

@@ -59,11 +59,14 @@ INT_ARGUMENTS = {
     "analyze cutoff": (lambda v: moments.analyze(states.Fock(1), cutoff=v), 2),
     "analyze max_m": (lambda v: moments.analyze(states.Fock(1), max_m=v), 4),
     "moment order": (lambda v: moments.moment(wigner.wigner_analytic(states.Fock(1)), v), 2),
-    "trace_power power": (lambda v: oracle.trace_power(states.fock_state(1), v), 2),
+    "trace_power power": (
+        lambda v: oracle.trace_power(states.state_from_spec(states.Fock(1)), v),
+        2,
+    ),
     "noon_closed_form_moment N": (lambda v: oracle.noon_closed_form_moment(v, 2), 1),
     "GridSpec points_per_axis": (lambda v: GridSpec(5.0, v), 16),
     "FockState modes": (lambda v: states.FockState(np.eye(2) / 2, v), 1),
-    "fock_state cutoff": (lambda v: states.fock_state(2, cutoff=v), 3),
+    "state_from_spec cutoff": (lambda v: states.state_from_spec(states.Fock(2), v), 3),
     "coherent_state_matrix cutoff": (lambda v: states.coherent_state_matrix(0.3, v), 4),
     "swap_operator cutoff": (multicopy.swap_operator, 2),
     "multicopy_observable cutoff": (lambda v: multicopy.multicopy_observable(2, v), 2),

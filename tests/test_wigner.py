@@ -78,6 +78,9 @@ def test_noon_and_squeezed_pair_origin_values():
         (states.Spssv(0.5, 0), 28, 1e-10),
         (states.Tmsv(0.7), 32, 1e-10),
         (states.Spssv(0.7, 1), 38, 1e-10),
+        # large cutoffs: the coupling is built from rho's nonzero entries alone
+        (states.Tmsv(1.0), 56, 1e-10),
+        (states.Spssv(1.0, 1), 62, 1e-10),
     ],
 )
 def test_analytic_matches_synthesis(spec, cutoff, tol):
@@ -164,7 +167,7 @@ def test_flat_synthesis_stops_at_the_last_nonzero_entry(monkeypatch):
             yield lag
 
     monkeypatch.setattr(wigner, "_laguerre", counted)
-    field = wigner.wigner_fock_synthesis(states.fock_state(1, cutoff=171))
+    field = wigner.wigner_fock_synthesis(states.state_from_spec(states.Fock(1), cutoff=171))
     values = field(np.array([[0.0, 0.0], [0.6, -0.8]]))
     assert len(steps) <= 2
     assert values[0] == pytest.approx(-1.0 / PI, rel=1e-14)
@@ -220,10 +223,24 @@ def _random_two_mode_state(cutoff, seed):
     return states.FockState(rho / np.trace(rho).real, modes=2)
 
 
+def _one_off_diagonal_pair():
+    # |1,0><1,0| and |0,2><0,2| joined by one off-diagonal pair
+    rho = np.zeros((16, 16), dtype=complex)
+    rho[4, 4], rho[2, 2] = 0.6, 0.4
+    rho[4, 2], rho[2, 4] = 0.3 - 0.2j, 0.3 + 0.2j
+    return states.FockState(rho, modes=2)
+
+
 @pytest.mark.parametrize(
     "state",
-    [_random_two_mode_state(3, 7), states.noon_state(3, 0.4)],
-    ids=["random-cutoff-3", "noon-3"],
+    [
+        _random_two_mode_state(3, 7),
+        states.state_from_spec(states.Noon(3, 0.4)),
+        states.FAMILIES["tmsv"].build(states.Tmsv(0.5), 6),
+        states.FAMILIES["spssv"].build(states.Spssv(0.5, 0), 7),
+        _one_off_diagonal_pair(),
+    ],
+    ids=["random-cutoff-3", "noon-3", "tmsv-cutoff-5", "spssv-cutoff-6", "one-off-diagonal-pair"],
 )
 def test_two_mode_synthesis_matches_the_reference_on_points_and_grids(state):
     field = wigner.wigner_fock_synthesis(state)
@@ -249,7 +266,7 @@ def test_noon_takes_two_mode_synthesis():
 
 
 def test_synthesis_requires_density_matrix_support():
-    state = states.fock_state(1, cutoff=6)
+    state = states.state_from_spec(states.Fock(1), cutoff=6)
     field = wigner.wigner_fock_synthesis(state, label="one")
     assert field.label == "one"
     assert field.modes == 1
